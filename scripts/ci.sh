@@ -104,7 +104,7 @@ run_static() {
   cmake --build "$root/$dir" --target opm_lint opm_analyze
   echo "== [static] opm_lint src bench tests"
   (cd "$root" && "$root/$dir/tools/opm_lint" src bench tests)
-  echo "== [static] linter self-check (seeded violation must be caught)"
+  echo "== [static] linter self-check (seeded violations must be caught)"
   local fixture="$root/$dir/lint-selfcheck"
   rm -rf "$fixture"
   mkdir -p "$fixture/src/core"
@@ -114,6 +114,23 @@ run_static() {
     exit 1
   fi
   echo "   seeded rand() violation caught (nonzero exit)"
+  # Advise payloads are hex-float serializations too: a decimal conversion
+  # there must trip float-print.
+  rm -rf "$fixture/src"
+  mkdir -p "$fixture/src/advise"
+  printf 'void f(char* b, double v) { std::snprintf(b, 32, "%%f", v); }\n' \
+      > "$fixture/src/advise/advise.cpp"
+  local lout
+  if lout=$(cd "$fixture" && "$root/$dir/tools/opm_lint" src); then
+    echo "ci: FAIL — opm_lint exited 0 on a seeded advise float-print violation" >&2
+    exit 1
+  fi
+  if ! grep -q "float-print" <<< "$lout"; then
+    echo "ci: FAIL — seeded advise %f not reported as float-print; output:" >&2
+    echo "$lout" >&2
+    exit 1
+  fi
+  echo "   seeded advise float-print violation caught (nonzero exit)"
   echo "== [static] opm_analyze (cross-file passes, docs/MODEL.md §15)"
   # Fail-fast: any unsuppressed finding (or stale baseline entry) aborts
   # the job here, before the expensive sanitizer builds. Per-pass timing
@@ -240,6 +257,35 @@ run_serve() {
     exit 1
   fi
   echo "   opm_serve drained: exit 0, socket removed"
+
+  echo "== [serve] warm restart: a fresh server answers from the disk wire records"
+  # Same --cache-dir as the cold run above, new process: every sweep
+  # payload must come from the escaped .opmrec records on disk. Gate 2
+  # counts cold computations and a warm start has none, so --tolerant
+  # skips it; this run is held instead to gate 1, zero cache misses and
+  # zero rejections or failures.
+  "$root/$dir/serve/opm_serve" --socket="$sock" --cache-dir="$scratch-ext" \
+      --no-sweep-stats &
+  server_pid=$!
+  for _ in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.1; done
+  local warm
+  warm=$(cd "$root/$dir" && ./bench/serve_loadgen --socket="$sock" --tolerant)
+  echo "$warm"
+  kill -TERM "$server_pid"
+  wait "$server_pid"
+  if ! grep -q '^gate 1 PASS' <<< "$warm"; then
+    echo "ci: FAIL — warm restart served payloads that differ from offline" >&2
+    exit 1
+  fi
+  if ! grep -q 'computed(misses) 0,' <<< "$warm"; then
+    echo "ci: FAIL — warm restart recomputed sweeps its disk records should serve" >&2
+    exit 1
+  fi
+  if ! grep -q ', rejected 0, failed 0 ' <<< "$warm"; then
+    echo "ci: FAIL — warm restart rejected or failed requests" >&2
+    exit 1
+  fi
+  echo "   warm restart: gate 1 PASS, 0 cache misses, no rejections or failures"
 
   echo "== [serve] sharded tier: 2 TCP shards + opm_router, zipf v2 load"
   local token="ci-serve-token" l2="$scratch-l2"

@@ -29,21 +29,13 @@
 #include "sim/window_sampler.hpp"
 #include "sparse/generators.hpp"
 #include "trace/recorder.hpp"
+#include "util/format.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/mutex.hpp"
 
 namespace opm::advise {
 namespace {
-
-/// Exact, locale-independent double rendering (C99 hex float). Advise
-/// payloads carry doubles as hex-float *strings* so the JSON stays
-/// parseable while the byte-identity contract holds bit-exactly.
-std::string hexf(double v) {
-  char buf[64];
-  const int n = std::snprintf(buf, sizeof buf, "%a", v);
-  return std::string(buf, static_cast<std::size_t>(n));
-}
 
 std::atomic<bool> g_verify_enabled{true};
 
@@ -397,7 +389,7 @@ std::string hint_for(core::KernelId kernel, const std::string& selector,
     case core::KernelId::kGemm:
     case core::KernelId::kCholesky: {
       const int nb = static_cast<int>(dense_tile_hint(rec_platform));
-      h = "block to nb=" + std::to_string(nb) +
+      h = "block to nb=" + std::to_string(nb) +  // opm-lint: allow(float-print) — integer
           " tiles (three nb^2 double panels per core's cache slice)";
       break;
     }
@@ -429,7 +421,7 @@ std::string hint_for(core::KernelId kernel, const std::string& selector,
     h += "; bind the hot arrays to the MCDRAM flat partition (numactl --preferred)";
   } else if (selector == "knl-hybrid") {
     h += "; place the ~" +
-         std::to_string(static_cast<long long>(hot_set / (1024.0 * 1024.0))) +
+         std::to_string(static_cast<long long>(hot_set / (1024.0 * 1024.0))) +  // opm-lint: allow(float-print) — integer
          " MiB hot set in the flat half and let the cache half track the rest";
   } else if (selector == "knl-cache") {
     h += "; no allocation changes needed - the memory-side cache manages placement";
@@ -592,7 +584,7 @@ std::string serialize(const AdviseRequest& req) {
   out += ",platform=";
   out += req.platform;
   out += ",footprint_bytes=";
-  out += hexf(req.footprint_bytes);
+  util::append_hexf(out, req.footprint_bytes);
   out += ",objective=";
   out += to_string(req.objective);
   out += ",verify=";
@@ -779,7 +771,7 @@ void append_str(std::string& out, const char* key, const std::string& value) {
 
 void append_num(std::string& out, const char* key, double value) {
   // Doubles travel as %a hex-float strings: exact, and still plain JSON.
-  append_kv(out, key, hexf(value), true);
+  append_kv(out, key, util::hexf(value), true);
   out += ',';
 }
 
@@ -789,7 +781,7 @@ void append_bool(std::string& out, const char* key, bool value) {
 }
 
 void append_u64(std::string& out, const char* key, std::uint64_t value) {
-  append_kv(out, key, std::to_string(value), false);
+  append_kv(out, key, std::to_string(value), false);  // opm-lint: allow(float-print) — integer
   out += ',';
 }
 
@@ -839,7 +831,7 @@ std::string render_json(const AdviseResult& r) {
   append_kv(out, "note", r.verification.note, true);
   out += "},\"sampling\":{";
   append_bool(out, "sampled", r.sampling.sampled);
-  append_kv(out, "max_rel_error", hexf(r.sampling.max_rel_error), true);
+  append_kv(out, "max_rel_error", util::hexf(r.sampling.max_rel_error), true);
   out += "}}";
   return out;
 }
@@ -872,11 +864,11 @@ namespace {
 std::string human_bytes(double bytes) {
   char buf[64];
   if (bytes >= 1024.0 * 1024.0 * 1024.0) {
-    std::snprintf(buf, sizeof buf, "%.1f GiB",
-                  bytes / (1024.0 * 1024.0 * 1024.0));  // opm-lint: allow(float-print) — human text
+    std::snprintf(buf, sizeof buf, "%.1f GiB",  // opm-lint: allow(float-print) — human text
+                  bytes / (1024.0 * 1024.0 * 1024.0));
   } else if (bytes >= 1024.0 * 1024.0) {
-    std::snprintf(buf, sizeof buf, "%.1f MiB",
-                  bytes / (1024.0 * 1024.0));  // opm-lint: allow(float-print) — human text
+    std::snprintf(buf, sizeof buf, "%.1f MiB",  // opm-lint: allow(float-print) — human text
+                  bytes / (1024.0 * 1024.0));
   } else {
     std::snprintf(buf, sizeof buf, "%.0f B", bytes);  // opm-lint: allow(float-print) — human text
   }
@@ -920,7 +912,7 @@ std::string render_text(const AdviseResult& r) {
   out += to_string(r.verification.verdict);
   if (r.verification.verdict != Verdict::kSkipped) {
     out += " — measured x" + fixed2(r.verification.measured_speedup) + " over " +
-           std::to_string(r.verification.inputs) + " inputs (predicted x" +
+           std::to_string(r.verification.inputs) + " inputs (predicted x" +  // opm-lint: allow(float-print) — integer
            fixed2(r.verification.predicted_speedup) + ", gap " + fixed2(r.verification.gap) + ")";
   }
   out += "\n    " + r.verification.note + "\n";
@@ -931,11 +923,13 @@ std::string render_text(const AdviseResult& r) {
   return out;
 }
 
-std::string run_and_render(const AdviseRequest& req) {
+std::string run_and_render(const AdviseRequest& req, bool* cache_hit) {
   const util::Digest128 key = advise_cache_key(req);
   auto& cache = core::ResultCache::instance();
   core::CacheProbe probe;
-  if (auto hit = cache.find<char>(key, &probe)) {
+  auto hit = cache.find<char>(key, &probe);
+  if (cache_hit) *cache_hit = hit.has_value();
+  if (hit) {
     util::MetricsRegistry::instance().counter("advise.payload_hits").add(1);
     core::detail::record_cache_hit("advise", 1, probe);
     return std::string(hit->begin(), hit->end());

@@ -182,8 +182,9 @@ std::string render_text(const AdviseResult& result);
 
 /// Payload-cached entry point: looks the rendered JSON up in the
 /// ResultCache under advise_cache_key(), computing and storing on a miss.
-/// This is what protocol::execute() calls for "advise" requests.
-std::string run_and_render(const AdviseRequest& req);
+/// This is what protocol::execute() calls for "advise" requests. When
+/// `cache_hit` is given it reports whether the payload came from the cache.
+std::string run_and_render(const AdviseRequest& req, bool* cache_hit = nullptr);
 
 /// The canonical mid-range footprint assumed when a request leaves
 /// `footprint_bytes` at 0 (kernel- and platform-dependent; mirrors the

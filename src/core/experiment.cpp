@@ -1,7 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -16,6 +15,7 @@
 #include "kernels/stencil.hpp"
 #include "kernels/stream.hpp"
 #include "sim/power.hpp"
+#include "util/format.hpp"
 
 namespace opm::core {
 
@@ -34,14 +34,6 @@ const char* to_string(KernelId id) {
 }
 
 namespace {
-
-/// Renders a double as a C99 hex float ("%a"): exact, locale-independent,
-/// and round-trippable, so serializations are stable across platforms.
-std::string hexf(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
 
 /// Consults the result cache around `compute`. On a hit the payload is the
 /// exact bytes a cold run would produce and a synthetic SweepStats record
@@ -121,9 +113,9 @@ kernels::LocalityModel footprint_model(const sim::Platform& platform, KernelId k
 std::string serialize(const DenseSweepRequest& req) {
   std::string s = "dense{kernel=";
   s += to_string(req.kernel);
-  s += ",n_lo=" + hexf(req.n_lo) + ",n_hi=" + hexf(req.n_hi);
-  s += ",n_step=" + hexf(req.n_step) + ",nb_lo=" + hexf(req.nb_lo);
-  s += ",nb_hi=" + hexf(req.nb_hi) + ",nb_step=" + hexf(req.nb_step) + "}";
+  s += ",n_lo=" + util::hexf(req.n_lo) + ",n_hi=" + util::hexf(req.n_hi);
+  s += ",n_step=" + util::hexf(req.n_step) + ",nb_lo=" + util::hexf(req.nb_lo);
+  s += ",nb_hi=" + util::hexf(req.nb_hi) + ",nb_step=" + util::hexf(req.nb_step) + "}";
   return s;
 }
 
@@ -139,7 +131,7 @@ std::string serialize(const SparseSweepRequest& req) {
 std::string serialize(const FootprintSweepRequest& req) {
   std::string s = "footprint{kernel=";
   s += to_string(req.kernel);
-  s += ",fp_lo=" + hexf(req.fp_lo) + ",fp_hi=" + hexf(req.fp_hi);
+  s += ",fp_lo=" + util::hexf(req.fp_lo) + ",fp_hi=" + util::hexf(req.fp_hi);
   s += ",points=" + std::to_string(req.points) + "}";  // opm-lint: allow(float-print) — integer field
   return s;
 }
@@ -182,65 +174,81 @@ util::Digest128 sweep_cache_key(const sim::Platform& platform,
 
 // ------------------------------------------------------------------ sweeps --
 
+std::vector<SweepPoint> compute_dense(const sim::Platform& platform,
+                                      const DenseSweepRequest& req) {
+  const std::string name = std::string("sweep_dense:") + to_string(req.kernel);
+  // The grid coordinates are accumulated serially (floating-point step
+  // sums must not depend on the worker count); only the model evaluations
+  // fan out.
+  std::vector<std::pair<double, double>> grid;
+  for (double n = req.n_lo; n <= req.n_hi; n += req.n_step)
+    for (double nb = req.nb_lo; nb <= req.nb_hi; nb += req.nb_step) grid.emplace_back(n, nb);
+
+  return sweep_transform(name.c_str(), grid.size(), 4, [&](std::size_t i) {
+    const auto [n, nb] = grid[i];
+    const kernels::LocalityModel model = req.kernel == KernelId::kGemm
+                                             ? kernels::gemm_model(platform, n, nb)
+                                             : kernels::cholesky_model(platform, n, nb);
+    const kernels::Prediction pred = kernels::predict(platform, model);
+    return SweepPoint{.x = n, .y = nb, .gflops = pred.gflops, .footprint = model.footprint};
+  });
+}
+
+std::vector<SweepPoint> compute_sparse(const sim::Platform& platform,
+                                       const SparseSweepRequest& req,
+                                       const sparse::SyntheticCollection& suite) {
+  const std::string name = std::string("sweep_sparse:") + to_string(req.kernel);
+  return sweep_transform(name.c_str(), suite.size(), 8, [&](std::size_t i) {
+    const auto& d = suite.descriptor(i);
+    const kernels::LocalityModel model = sparse_model(platform, req.kernel, d, req.merge_based);
+    const kernels::Prediction pred = kernels::predict(platform, model);
+    return SweepPoint{.x = model.footprint,
+                      .y = 0.0,
+                      .gflops = pred.gflops,
+                      .footprint = model.footprint,
+                      .rows = static_cast<double>(d.rows),
+                      .nnz = static_cast<double>(d.nnz),
+                      .input_id = d.id};
+  });
+}
+
+std::vector<SweepPoint> compute_footprint(const sim::Platform& platform,
+                                          const FootprintSweepRequest& req) {
+  if (req.points == 0 || !(req.fp_hi > req.fp_lo)) return {};
+  const std::string name = std::string("sweep_footprint:") + to_string(req.kernel);
+  const double log_lo = std::log2(req.fp_lo);
+  const double log_hi = std::log2(req.fp_hi);
+  return sweep_transform(name.c_str(), req.points, 8, [&](std::size_t i) {
+    const double t =
+        req.points > 1 ? static_cast<double>(i) / static_cast<double>(req.points - 1) : 0.0;
+    const double fp = std::exp2(log_lo + (log_hi - log_lo) * t);
+    const kernels::LocalityModel model = footprint_model(platform, req.kernel, fp);
+    const kernels::Prediction pred = kernels::predict(platform, model);
+    return SweepPoint{.x = fp, .y = 0.0, .gflops = pred.gflops, .footprint = model.footprint};
+  });
+}
+
 std::vector<SweepPoint> sweep_dense(const sim::Platform& platform,
                                     const DenseSweepRequest& req) {
-  const std::string name = std::string("sweep_dense:") + to_string(req.kernel);
-  return cached_sweep<SweepPoint>(name, sweep_cache_key(platform, req), [&] {
-    // The grid coordinates are accumulated serially (floating-point step
-    // sums must not depend on the worker count); only the model
-    // evaluations fan out.
-    std::vector<std::pair<double, double>> grid;
-    for (double n = req.n_lo; n <= req.n_hi; n += req.n_step)
-      for (double nb = req.nb_lo; nb <= req.nb_hi; nb += req.nb_step) grid.emplace_back(n, nb);
-
-    return sweep_transform(name.c_str(), grid.size(), 4, [&](std::size_t i) {
-      const auto [n, nb] = grid[i];
-      const kernels::LocalityModel model =
-          req.kernel == KernelId::kGemm ? kernels::gemm_model(platform, n, nb)
-                                        : kernels::cholesky_model(platform, n, nb);
-      const kernels::Prediction pred = kernels::predict(platform, model);
-      return SweepPoint{.x = n, .y = nb, .gflops = pred.gflops, .footprint = model.footprint};
-    });
-  });
+  return cached_sweep<SweepPoint>(std::string("sweep_dense:") + to_string(req.kernel),
+                                  sweep_cache_key(platform, req),
+                                  [&] { return compute_dense(platform, req); });
 }
 
 std::vector<SweepPoint> sweep_sparse(const sim::Platform& platform,
                                      const SparseSweepRequest& req,
                                      const sparse::SyntheticCollection& suite) {
-  const std::string name = std::string("sweep_sparse:") + to_string(req.kernel);
-  return cached_sweep<SweepPoint>(name, sweep_cache_key(platform, req, suite), [&] {
-    return sweep_transform(name.c_str(), suite.size(), 8, [&](std::size_t i) {
-      const auto& d = suite.descriptor(i);
-      const kernels::LocalityModel model =
-          sparse_model(platform, req.kernel, d, req.merge_based);
-      const kernels::Prediction pred = kernels::predict(platform, model);
-      return SweepPoint{.x = model.footprint,
-                        .y = 0.0,
-                        .gflops = pred.gflops,
-                        .footprint = model.footprint,
-                        .rows = static_cast<double>(d.rows),
-                        .nnz = static_cast<double>(d.nnz),
-                        .input_id = d.id};
-    });
-  });
+  return cached_sweep<SweepPoint>(std::string("sweep_sparse:") + to_string(req.kernel),
+                                  sweep_cache_key(platform, req, suite),
+                                  [&] { return compute_sparse(platform, req, suite); });
 }
 
 std::vector<SweepPoint> sweep_footprint_kernel(const sim::Platform& platform,
                                                const FootprintSweepRequest& req) {
-  if (req.points == 0 || !(req.fp_hi > req.fp_lo)) return {};
-  const std::string name = std::string("sweep_footprint:") + to_string(req.kernel);
-  return cached_sweep<SweepPoint>(name, sweep_cache_key(platform, req), [&] {
-    const double log_lo = std::log2(req.fp_lo);
-    const double log_hi = std::log2(req.fp_hi);
-    return sweep_transform(name.c_str(), req.points, 8, [&](std::size_t i) {
-      const double t =
-          req.points > 1 ? static_cast<double>(i) / static_cast<double>(req.points - 1) : 0.0;
-      const double fp = std::exp2(log_lo + (log_hi - log_lo) * t);
-      const kernels::LocalityModel model = footprint_model(platform, req.kernel, fp);
-      const kernels::Prediction pred = kernels::predict(platform, model);
-      return SweepPoint{.x = fp, .y = 0.0, .gflops = pred.gflops, .footprint = model.footprint};
-    });
-  });
+  if (req.points == 0 || !(req.fp_hi > req.fp_lo)) return {};  // never cached
+  return cached_sweep<SweepPoint>(std::string("sweep_footprint:") + to_string(req.kernel),
+                                  sweep_cache_key(platform, req),
+                                  [&] { return compute_footprint(platform, req); });
 }
 
 // ------------------------------------------------------------------ tables --

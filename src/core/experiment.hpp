@@ -107,6 +107,10 @@ util::Digest128 sweep_cache_key(const sim::Platform& platform,
 // ------------------------------------------------------------------ sweeps --
 
 /// Dense (n, nb) grid sweep for GEMM or Cholesky (appendix A.2.1).
+/// Each sweep_* call consults the result cache under its sweep_cache_key
+/// and on a miss runs (and stores) its compute_* body; the compute_*
+/// bodies never touch the cache, for callers that cache a rendering of
+/// the points instead (the serve tier caches escaped payload bytes).
 std::vector<SweepPoint> sweep_dense(const sim::Platform& platform,
                                     const DenseSweepRequest& req);
 
@@ -118,6 +122,15 @@ std::vector<SweepPoint> sweep_sparse(const sim::Platform& platform,
 /// Footprint sweep for Stream / Stencil / FFT.
 std::vector<SweepPoint> sweep_footprint_kernel(const sim::Platform& platform,
                                                const FootprintSweepRequest& req);
+
+/// The uncached sweep bodies: bit-identical to the sweeps above on a miss.
+std::vector<SweepPoint> compute_dense(const sim::Platform& platform,
+                                      const DenseSweepRequest& req);
+std::vector<SweepPoint> compute_sparse(const sim::Platform& platform,
+                                       const SparseSweepRequest& req,
+                                       const sparse::SyntheticCollection& suite);
+std::vector<SweepPoint> compute_footprint(const sim::Platform& platform,
+                                          const FootprintSweepRequest& req);
 
 /// The canonical per-kernel input set for the summary tables: returns the
 /// predicted GFlop/s for every input of `kernel` on `platform` (paired

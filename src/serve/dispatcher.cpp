@@ -28,15 +28,27 @@ protocol::Error rejection(const char* category, const char* message, int retry_a
   return e;
 }
 
-/// Derives the v2 envelope's sampled/max_rel_error members from the
-/// rendered payload (fresh, coalesced, or cache-served — all the same
-/// text), so the fast-or-exact contract holds on every serving path
-/// without threading sampling state through execute().
-protocol::SampleNote sample_note(const protocol::Request& req, const std::string& payload) {
-  protocol::SampleNote note;
+/// The text a flight publishes, which the leader and every follower wrap
+/// in their own envelope. Sweeps: escaped payload bytes, spliced verbatim
+/// (protocol::escaped_sweep_payload). Advise: the raw advise JSON from the
+/// advise layer's own payload cache, escaped per response (advise
+/// payloads are small).
+std::string flight_payload(const protocol::Request& req, bool* cache_hit) {
   if (req.type == protocol::RequestType::kAdvise)
-    advise::payload_sampling(payload, &note.sampled, &note.max_rel_error_hex);
-  return note;
+    return advise::run_and_render(req.advise, cache_hit);
+  return protocol::escaped_sweep_payload(req, cache_hit);
+}
+
+/// One success line around a flight's text. The advise sampled members
+/// are read from the payload itself (fresh, coalesced or cached — the
+/// same text), so the fast-or-exact contract holds on every serving path.
+std::string render_ok(const protocol::Envelope& env, protocol::RequestType type,
+                      const std::string& text) {
+  if (type != protocol::RequestType::kAdvise)
+    return protocol::render_response(env, type, protocol::EscapedPayload{text});
+  protocol::SampleNote note;
+  advise::payload_sampling(text, &note.sampled, &note.max_rel_error_hex);
+  return protocol::render_response(env, type, text, note);
 }
 
 }  // namespace
@@ -47,6 +59,7 @@ struct Dispatcher::Impl {
         admitted(util::MetricsRegistry::instance().counter("serve.admitted")),
         responses(util::MetricsRegistry::instance().counter("serve.responses")),
         computed(util::MetricsRegistry::instance().counter("serve.computed")),
+        payload_hits(util::MetricsRegistry::instance().counter("serve.payload_hits")),
         coalesce_hits(util::MetricsRegistry::instance().counter("serve.coalesce_hits")),
         rejected_overload(util::MetricsRegistry::instance().counter("serve.rejected_overload")),
         rejected_quota(util::MetricsRegistry::instance().counter("serve.rejected_quota")),
@@ -69,6 +82,7 @@ struct Dispatcher::Impl {
   util::Counter& admitted;
   util::Counter& responses;
   util::Counter& computed;
+  util::Counter& payload_hits;
   util::Counter& coalesce_hits;
   util::Counter& rejected_overload;
   util::Counter& rejected_quota;
@@ -167,11 +181,13 @@ struct Dispatcher::Impl {
     auto flight = flights.try_begin(key, &leader);
     if (leader) {
       try {
-        auto payload = std::make_shared<const std::string>(protocol::execute(item.req));
-        computed.add(1);
+        // The leader does the flight's only cache lookup; followers share.
+        bool cache_hit = false;
+        auto payload = std::make_shared<const std::string>(
+            flight_payload(item.req, &cache_hit));
+        (cache_hit ? payload_hits : computed).add(1);
         flights.complete(flight, payload);
-        answer(item.respond, protocol::render_response(env, item.req.type, *payload,
-                                                       sample_note(item.req, *payload)));
+        answer(item.respond, render_ok(env, item.req.type, *payload));
       } catch (const std::exception& e) {
         flights.fail(flight);
         errors_internal.add(1);
@@ -188,8 +204,7 @@ struct Dispatcher::Impl {
     const core::SingleFlight::Payload payload = flights.share(flight);
     if (payload) {
       coalesce_hits.add(1);
-      answer(item.respond, protocol::render_response(env, item.req.type, *payload,
-                                                     sample_note(item.req, *payload)));
+      answer(item.respond, render_ok(env, item.req.type, *payload));
     } else {
       errors_internal.add(1);
       answer(item.respond,

@@ -15,7 +15,7 @@
 ///
 ///   submit ──► admission ──► per-client queue ──► worker ──► single-flight
 ///                 │                                              │
-///                 └─ overload / draining rejection               ├─ leader: execute()
+///                 └─ overload / draining rejection               ├─ leader: cache or compute
 ///                    (responded inline, retry_after_ms set)      └─ follower: share()
 ///
 /// * stats/ping are answered inline by submit() — they must stay
@@ -24,8 +24,13 @@
 ///   cannot starve others of *service order* though: dequeue is
 ///   round-robin across clients with pending work.
 /// * Identical sweeps (protocol::request_key) coalesce: one leader
-///   computes, every concurrent duplicate shares the same payload and
-///   each waiter wraps it in its own response envelope (ids differ).
+///   produces the payload, every concurrent duplicate shares it and each
+///   waiter wraps it in its own response envelope (ids differ).
+/// * The leader does the flight's only cache lookup. Sweep payloads are
+///   cached as escaped bytes (protocol::escaped_sweep_payload), so a hit
+///   is a lookup plus a splice into the envelope; advise payloads come
+///   from the advise layer's own cache (advise::run_and_render). Either
+///   cache is on exactly when the result cache is.
 /// * drain() stops admission (subsequent submits get "draining"), lets
 ///   queued and in-flight work finish, then joins the workers. The result
 ///   cache's disk tier is write-through, so a drained process leaves
@@ -34,9 +39,11 @@
 /// Every submit() is answered exactly once through its respond callback
 /// (on a worker thread, or inline on the submitting thread for
 /// rejections/stats/ping). Counters land in util::MetricsRegistry under
-/// "serve.": admitted, responses, computed, coalesce_hits,
-/// rejected_overload, rejected_quota, rejected_draining,
-/// rejected_redirect, errors_internal.
+/// "serve.": admitted, responses, computed (leaders that really computed),
+/// payload_hits (leaders answered from a payload cache), coalesce_hits
+/// (followers), rejected_overload, rejected_quota, rejected_draining,
+/// rejected_redirect, errors_internal. Every admitted request ends in
+/// exactly one of computed, payload_hits, coalesce_hits, errors_internal.
 namespace opm::serve {
 
 struct DispatchConfig {

@@ -2,10 +2,11 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <set>
 #include <sstream>
 
+#include "core/result_cache.hpp"
+#include "util/format.hpp"
 #include "util/json.hpp"
 
 namespace opm::serve::protocol {
@@ -18,12 +19,6 @@ constexpr std::size_t kMaxIdBytes = 128;
 /// 32000) is ~4k points, far below this.
 constexpr double kMaxGridPoints = 1 << 20;
 constexpr std::size_t kMaxFootprintPoints = 65536;
-
-std::string hexf(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
 
 /// Shortest decimal that round-trips the exact double — what
 /// render_request uses so a forwarded request re-parses to bit-identical
@@ -397,41 +392,78 @@ util::Digest128 request_key(const Request& req) {
   return h.digest();
 }
 
-std::string execute(const Request& req) {
-  if (req.type == RequestType::kAdvise) return advise::run_and_render(req.advise);
-  std::vector<core::SweepPoint> points;
+util::Digest128 payload_cache_key(const Request& req) {
+  const util::Digest128 base = request_key(req);
+  util::Hasher128 h;
+  h.add(std::string_view("opm.serve.escaped.v1"));
+  h.add(base.hi);
+  h.add(base.lo);
+  return h.digest();
+}
+
+namespace {
+
+/// A sweep request's points, through the points cache (core::sweep_*) or
+/// straight from the uncached body (core::compute_*). Empty for the
+/// non-sweep types.
+std::vector<core::SweepPoint> sweep_points(const Request& req, bool use_points_cache) {
   switch (req.type) {
     case RequestType::kDense:
-      points = core::sweep_dense(req.platform, req.dense);
-      break;
+      return use_points_cache ? core::sweep_dense(req.platform, req.dense)
+                              : core::compute_dense(req.platform, req.dense);
     case RequestType::kSparse:
-      points = core::sweep_sparse(req.platform, req.sparse, serve_suite());
-      break;
+      return use_points_cache ? core::sweep_sparse(req.platform, req.sparse, serve_suite())
+                              : core::compute_sparse(req.platform, req.sparse, serve_suite());
     case RequestType::kFootprint:
-      points = core::sweep_footprint_kernel(req.platform, req.footprint);
-      break;
+      return use_points_cache ? core::sweep_footprint_kernel(req.platform, req.footprint)
+                              : core::compute_footprint(req.platform, req.footprint);
     default:
       return {};
   }
-  return render_points_csv(points);
+}
+
+}  // namespace
+
+std::string escaped_sweep_payload(const Request& req, bool* cache_hit) {
+  core::ResultCache& cache = core::ResultCache::instance();
+  const util::Digest128 key = payload_cache_key(req);
+  if (auto hit = cache.find<char>(key)) {
+    *cache_hit = true;
+    return std::string(hit->begin(), hit->end());
+  }
+  *cache_hit = false;
+  // The lookup above stays this request's only cache consultation, so a
+  // cold request counts exactly one cache miss.
+  std::string escaped = util::json_escape(render_points_csv(sweep_points(req, false)));
+  cache.store<char>(key, std::vector<char>(escaped.begin(), escaped.end()));
+  return escaped;
+}
+
+std::string execute(const Request& req) {
+  switch (req.type) {
+    case RequestType::kAdvise:
+      return advise::run_and_render(req.advise);
+    case RequestType::kDense:
+    case RequestType::kSparse:
+    case RequestType::kFootprint:
+      return render_points_csv(sweep_points(req, true));
+    default:
+      return {};
+  }
 }
 
 std::string render_points_csv(const std::vector<core::SweepPoint>& points) {
   std::string out = "x,y,gflops,footprint,rows,nnz,input_id\n";
+  // Worst case per point: six 24-byte hex floats, six separators, an
+  // 11-byte id and the newline.
+  out.reserve(out.size() + points.size() * 162);
   for (const auto& p : points) {
-    out += hexf(p.x);
-    out += ',';
-    out += hexf(p.y);
-    out += ',';
-    out += hexf(p.gflops);
-    out += ',';
-    out += hexf(p.footprint);
-    out += ',';
-    out += hexf(p.rows);
-    out += ',';
-    out += hexf(p.nnz);
-    out += ',';
-    out += std::to_string(p.input_id);  // opm-lint: allow(float-print) — integer id
+    for (const double v : {p.x, p.y, p.gflops, p.footprint, p.rows, p.nnz}) {
+      util::append_hexf(out, v);
+      out += ',';
+    }
+    char id[16];
+    out.append(id, std::to_chars(id, id + sizeof id, p.input_id).ptr);
     out += '\n';
   }
   return out;
@@ -544,7 +576,13 @@ std::string render_response(const Envelope& env, RequestType type,
 
 std::string render_response(const Envelope& env, RequestType type,
                             const std::string& payload, const SampleNote& note) {
+  return render_response(env, type, EscapedPayload{util::json_escape(payload)}, note);
+}
+
+std::string render_response(const Envelope& env, RequestType type, EscapedPayload payload,
+                            const SampleNote& note) {
   std::string out = envelope_prefix(env);
+  out.reserve(out.size() + payload.text.size() + 128);
   out += ",\"ok\":true,\"type\":\"";
   out += to_string(type);
   out += '"';
@@ -557,7 +595,7 @@ std::string render_response(const Envelope& env, RequestType type,
     out += '"';
   }
   out += ",\"payload\":\"";
-  out += util::json_escape(payload);
+  out += payload.text;
   out += "\"}";
   return out;
 }

@@ -189,8 +189,25 @@ util::Digest128 request_key(const Request& req);
 /// verifier calls this directly and diffs against served payloads.
 std::string execute(const Request& req);
 
+/// Result-cache key of a sweep's escaped payload bytes: request_key(req)
+/// under its own tag, so the record never collides with the sweep's
+/// points record (core::sweep_cache_key) or an advise payload.
+util::Digest128 payload_cache_key(const Request& req);
+
+/// The serve path's sweep payload, already JSON-escaped: exactly
+/// util::json_escape(execute(req)), ready for the EscapedPayload
+/// render_response. The result cache holds these bytes (memory LRU and
+/// .opmrec disk tier) under payload_cache_key(req), so a hit is one
+/// lookup and a copy. A miss computes through the uncached sweep body
+/// (core::compute_*) — this lookup stays the request's only cache
+/// consultation — then renders, escapes and stores. With the cache off
+/// every call computes. *cache_hit reports which happened. Sweep types
+/// only.
+std::string escaped_sweep_payload(const Request& req, bool* cache_hit);
+
 /// CSV payload: header "x,y,gflops,footprint,rows,nnz,input_id", doubles
-/// as C99 hex floats (%a) so the text round-trips bit-exactly.
+/// as C99 hex floats (%a, via util::append_hexf) so the text round-trips
+/// bit-exactly.
 std::string render_points_csv(const std::vector<core::SweepPoint>& points);
 
 /// Sampled-simulation annotation for a response envelope (the fast-or-exact
@@ -206,6 +223,13 @@ struct SampleNote {
   std::string max_rel_error_hex;  ///< C99 %a text, e.g. "0x1.9p-9"
 };
 
+/// Payload text that is already JSON-escaped (escaped_sweep_payload's
+/// bytes): the render_response overload taking it splices the text into
+/// the envelope verbatim instead of escaping it again.
+struct EscapedPayload {
+  std::string_view text;
+};
+
 /// Response lines (no trailing newline), versioned by the envelope. v1
 /// renders are byte-identical to the pre-v2 service.
 std::string render_response(const Envelope& env, RequestType type,
@@ -214,6 +238,10 @@ std::string render_response(const Envelope& env, RequestType type,
 /// note.sampled (v1 envelopes ignore the note entirely).
 std::string render_response(const Envelope& env, RequestType type,
                             const std::string& payload, const SampleNote& note);
+/// The same bytes from a pre-escaped payload: envelope prefix, then a
+/// verbatim copy of `payload.text`.
+std::string render_response(const Envelope& env, RequestType type, EscapedPayload payload,
+                            const SampleNote& note = {});
 std::string render_error(const Envelope& env, const Error& err);
 std::string render_stats(const Envelope& env, const std::string& stats_json);
 std::string render_pong(const Envelope& env);

@@ -103,6 +103,7 @@ SyntheticCollection SyntheticCollection::paper_suite() {
     out.descriptors_.push_back(
         describe(id, family, rows, nnz, 0x9e3779b9u + static_cast<std::uint64_t>(id)));
   }
+  out.seal();
   return out;
 }
 
@@ -113,6 +114,7 @@ SyntheticCollection SyntheticCollection::test_suite(int count, std::int64_t max_
     if (d.rows <= max_rows && d.nnz <= max_rows * 64) out.descriptors_.push_back(d);
     if (static_cast<int>(out.descriptors_.size()) >= count) break;
   }
+  out.seal();
   return out;
 }
 
@@ -152,7 +154,7 @@ Csr SyntheticCollection::materialize(std::size_t i) const {
   return {};
 }
 
-util::Digest128 SyntheticCollection::fingerprint() const {
+void SyntheticCollection::seal() {
   util::Hasher128 h;
   h.add(std::string_view("opm.sparse.SyntheticCollection.v1"));
   h.add(static_cast<std::uint64_t>(descriptors_.size()));
@@ -163,7 +165,7 @@ util::Digest128 SyntheticCollection::fingerprint() const {
     h.add(d.rows).add(d.nnz).add(d.seed);
     h.add(d.locality).add(d.footprint_bytes);
   }
-  return h.digest();
+  fingerprint_ = h.digest();
 }
 
 }  // namespace opm::sparse

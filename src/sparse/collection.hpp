@@ -70,14 +70,19 @@ class SyntheticCollection {
   /// Content fingerprint over every descriptor field. Part of each sparse
   /// sweep's result-cache key: any change to the suite construction
   /// (count, sizes, seeds, family mix, locality scores) re-keys all
-  /// cached results that were computed from it.
-  util::Digest128 fingerprint() const;
+  /// cached results that were computed from it. Hashed once when the
+  /// suite is built (every sparse request key reads it).
+  util::Digest128 fingerprint() const { return fingerprint_; }
 
  private:
+  SyntheticCollection() = default;  // only the factories build suites
   static MatrixDescriptor describe(int id, Family family, std::int64_t rows, std::int64_t nnz,
                                    std::uint64_t seed);
+  /// Hashes the descriptors into fingerprint_; the factories' last step.
+  void seal();
 
   std::vector<MatrixDescriptor> descriptors_;
+  util::Digest128 fingerprint_;
 };
 
 /// Locality score assumed for each family (see MatrixDescriptor::locality).

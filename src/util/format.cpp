@@ -1,6 +1,9 @@
 #include "util/format.hpp"
 
 #include <array>
+#include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "util/units.hpp"
@@ -40,6 +43,37 @@ std::string format_fixed(double v, int precision) {
 }
 
 std::string format_speedup(double ratio) { return format_fixed(ratio, 3) + "x"; }
+
+void append_hexf(std::string& out, double v) {
+  // glibc's %a spells the sign, then "0x" for finite values only ("inf",
+  // "nan"); to_chars' hex form is the same text without either.
+  if (std::signbit(v)) out += '-';
+  const double mag = std::fabs(v);
+  if (std::isfinite(mag)) out += "0x";
+  if (std::fpclassify(mag) == FP_SUBNORMAL) {
+    // %a keeps subnormals unnormalized, "0.<mantissa>p-1022". Spelled out
+    // here because libstdc++ releases disagree on the form to_chars gives
+    // some of them (the power-of-two ones).
+    const auto mantissa = std::bit_cast<std::uint64_t>(mag);
+    char digits[13];
+    for (int i = 0; i < 13; ++i) digits[i] = "0123456789abcdef"[(mantissa >> (48 - 4 * i)) & 0xf];
+    std::size_t n = 13;
+    while (digits[n - 1] == '0') --n;  // a subnormal has a nonzero digit
+    out += "0.";
+    out.append(digits, n);
+    out += "p-1022";
+    return;
+  }
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, mag, std::chars_format::hex);
+  out.append(buf, res.ptr);
+}
+
+std::string hexf(double v) {
+  std::string out;
+  append_hexf(out, v);
+  return out;
+}
 
 std::string pad(const std::string& s, std::size_t width) {
   if (s.size() >= width) return s.substr(0, width);

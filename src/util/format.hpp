@@ -21,6 +21,13 @@ std::string format_fixed(double v, int precision);
 /// "1.243x" speedup formatting used in Tables 4 and 5.
 std::string format_speedup(double ratio);
 
+/// Appends `v` as a C99 hex float, byte-identical to printf("%a"): the
+/// one exact, locale-independent rendering every serialized double
+/// (sweep payloads, cache-key canonical text, advise JSON) goes through.
+/// Built on std::to_chars, so it never touches the C locale or stdio.
+void append_hexf(std::string& out, double v);
+std::string hexf(double v);
+
 /// Left-pads or truncates to an exact column width (for ASCII tables).
 std::string pad(const std::string& s, std::size_t width);
 

@@ -263,9 +263,13 @@ std::optional<JsonValue> parse_json(std::string_view text, std::string* error,
 
 std::string json_escape(std::string_view s) {
   std::string out;
-  out.reserve(s.size() + 8);
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
+  out.reserve(s.size() + s.size() / 8 + 8);
+  std::size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -274,16 +278,14 @@ std::string json_escape(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   return out;
 }
 

@@ -302,6 +302,28 @@ TEST(Metrics, SamplerCountersResolveAcrossOwnerAndReader) {
       << testing::PrintToString(ks);
 }
 
+TEST(Metrics, ServeHitPathCountersHaveOneOwner) {
+  // The serve hit path mirrors the real topology: the dispatcher alone
+  // counts leaders that computed and leaders answered from a payload
+  // cache; the loadgen reads both back out of the stats request.
+  const std::vector<SourceFile> tree = {
+      {"src/serve/dispatcher.cpp",
+       "Impl() : computed(reg.counter(\"serve.computed\")),\n"
+       "         payload_hits(reg.counter(\"serve.payload_hits\")) {}\n"},
+      {"bench/serve_loadgen.cpp",
+       "auto c = stats_counter(s, \"serve\", \"serve.computed\");\n"
+       "auto h = stats_counter(s, \"serve\", \"serve.payload_hits\");\n"},
+  };
+  EXPECT_TRUE(analyze_sources(tree, {}, "metrics").findings.empty());
+  // The protocol layer bumping the hit counter too would double count.
+  auto twice = tree;
+  twice.push_back({"src/serve/protocol.cpp",
+                   "void hit() { reg.counter(\"serve.payload_hits\").add(1); }\n"});
+  const auto ks = keys(analyze_sources(twice, {}, "metrics"));
+  ASSERT_EQ(ks.size(), 1u) << testing::PrintToString(ks);
+  EXPECT_EQ(ks[0], "metrics/name:serve.payload_hits:multi-owner");
+}
+
 // ---------------------------------------------------------- pass: layering --
 
 TEST(Layering, UtilIncludingUpperLayerIsFlagged) {

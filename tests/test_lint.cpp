@@ -142,6 +142,19 @@ TEST(LintFloatPrint, OnlyAppliesToSerializationPaths) {
   EXPECT_TRUE(check_source("bench/serve_loadgen.cpp", src).empty());
 }
 
+TEST(LintFloatPrint, CoversAdvisePayloadsAndNamesTheOneFormatter) {
+  const auto findings =
+      check_source("src/advise/advise.cpp", "std::snprintf(buf, sizeof buf, \"%.3f\", v);\n");
+  ASSERT_EQ(rule_ids(findings), std::vector<std::string>{"float-print"});
+  EXPECT_NE(findings[0].message.find("util::hexf"), std::string::npos) << findings[0].message;
+  // The hatch belongs on the line that holds the literal.
+  const std::string human = R"(
+std::snprintf(buf, sizeof buf, "%.1f GiB",  // opm-lint: allow(float-print) — human text
+              v / 1e9);
+)";
+  EXPECT_TRUE(check_source("src/advise/advise.cpp", human).empty());
+}
+
 // ----------------------------------------------------------- guarded-mutex --
 
 TEST(LintGuardedMutex, FlagsUnannotatedMutexMembers) {

@@ -13,6 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -466,6 +469,140 @@ TEST_F(ServeTest, DispatcherCoalescesConcurrentDuplicates) {
   EXPECT_EQ(matched[1], static_cast<std::size_t>(kCopies));
   // Deduplication: 24 served, at most 2 computed (coalesced or cache-hit).
   EXPECT_LE(core::result_cache_stats().misses, 2u);
+}
+
+/// Submits one request and blocks until the dispatcher answers it.
+std::string ask(serve::Dispatcher& dispatcher, Request req) {
+  std::promise<std::string> answered;
+  std::future<std::string> line = answered.get_future();
+  dispatcher.submit(1, std::move(req),
+                    [&answered](std::string response) { answered.set_value(std::move(response)); });
+  return line.get();
+}
+
+std::uint64_t serve_counter(const char* name) {
+  return util::MetricsRegistry::instance().counter(name).value();
+}
+
+/// The offline reference line for `req`: protocol::execute under the
+/// request's own envelope, escaped by the string render_response.
+std::string reference_line(const Request& req) {
+  return serve::protocol::render_response(serve::protocol::envelope_of(req), req.type,
+                                          serve::protocol::execute(req));
+}
+
+TEST_F(ServeTest, CachedHitSplicesByteIdenticalPayloadInBothEnvelopes) {
+  // An id that needs escaping in the envelope: q"1\ .
+  const std::string lines[] = {
+      R"({"type":"sparse","id":"q\"1\\","platform":"knl-flat","kernel":"sptrans",)"
+      R"("merge_based":true})",
+      R"({"v":2,"req_id":"q\"1\\","type":"footprint","platform":"knl-cache",)"
+      R"("kernel":"fft","fp_lo":65536,"fp_hi":1073741824,"points":24})",
+  };
+  for (const std::string& line : lines) {
+    const Request req = parse_ok(line);
+    ASSERT_EQ(req.id, "q\"1\\");
+    const std::string want = reference_line(req);
+    core::configure_result_cache(core::result_cache_config());  // cold memory tier
+    serve::Dispatcher dispatcher(serve::DispatchConfig{});
+    const std::uint64_t computed0 = serve_counter("serve.computed");
+    const std::uint64_t hits0 = serve_counter("serve.payload_hits");
+    const std::size_t misses0 = core::result_cache_stats().misses;
+
+    EXPECT_EQ(ask(dispatcher, req), want) << "cold answer, " << line;
+    EXPECT_EQ(serve_counter("serve.computed"), computed0 + 1);
+    EXPECT_EQ(core::result_cache_stats().misses, misses0 + 1);
+
+    const std::size_t misses1 = core::result_cache_stats().misses;
+    const std::size_t mem_hits1 = core::result_cache_stats().memory_hits;
+    EXPECT_EQ(ask(dispatcher, req), want) << "cached answer, " << line;
+    EXPECT_EQ(core::result_cache_stats().misses, misses1);  // a hit never misses
+    EXPECT_EQ(core::result_cache_stats().memory_hits, mem_hits1 + 1);
+    EXPECT_EQ(serve_counter("serve.payload_hits"), hits0 + 1);
+    EXPECT_EQ(serve_counter("serve.computed"), computed0 + 1);  // hits are not computations
+  }
+}
+
+TEST_F(ServeTest, CacheDisabledByConfigStillAnswersIdentically) {
+  serve::Dispatcher dispatcher(serve::DispatchConfig{});
+  const Request req = parse_ok(
+      R"({"v":2,"req_id":"off","type":"dense","platform":"broadwell-edram-on",)"
+      R"("kernel":"cholesky","n_lo":512,"n_hi":4096,"n_step":512,"nb_lo":128,)"
+      R"("nb_hi":1024,"nb_step":128})");
+  const std::string want = reference_line(req);
+  const std::string off = ask(dispatcher, parse_ok(R"({"type":"config","cache_enabled":false})"));
+  const auto applied = util::parse_json(off);
+  ASSERT_TRUE(applied.has_value()) << off;
+  ASSERT_EQ(applied->find("payload")->string, R"({"applied":{"cache_enabled":false}})");
+  const std::uint64_t computed0 = serve_counter("serve.computed");
+  const std::uint64_t hits0 = serve_counter("serve.payload_hits");
+  EXPECT_EQ(ask(dispatcher, req), want);
+  EXPECT_EQ(ask(dispatcher, req), want);
+  EXPECT_EQ(serve_counter("serve.computed"), computed0 + 2);  // no cache, no hits
+  EXPECT_EQ(serve_counter("serve.payload_hits"), hits0);
+  ask(dispatcher, parse_ok(R"({"type":"config","cache_enabled":true})"));
+  EXPECT_EQ(ask(dispatcher, req), want);
+  EXPECT_EQ(ask(dispatcher, req), want);
+  EXPECT_EQ(serve_counter("serve.payload_hits"), hits0 + 1);
+}
+
+TEST_F(ServeTest, DamagedWireRecordOnDiskDegradesToRecompute) {
+  namespace fs = std::filesystem;
+  core::CacheConfig cfg;
+  cfg.enabled = true;
+  cfg.disk = true;
+  cfg.dir = ::testing::TempDir() + "opm_serve_wire_" + std::to_string(::getpid());
+  fs::remove_all(cfg.dir);
+  core::configure_result_cache(cfg);
+
+  const Request req = parse_ok(
+      R"({"id":"w","type":"footprint","platform":"knl-hybrid","kernel":"stencil",)"
+      R"("fp_lo":1048576,"fp_hi":4294967296,"points":40})");
+  const std::string want = reference_line(req);
+  const fs::path record =
+      fs::path(cfg.dir) /
+      (serve::protocol::payload_cache_key(req).hex() + ".opmrec");
+  serve::Dispatcher dispatcher(serve::DispatchConfig{});
+  ASSERT_EQ(ask(dispatcher, req), want);
+  ASSERT_TRUE(fs::exists(record));
+  const auto full = fs::file_size(record);
+
+  // Each damage is read by a process whose memory tier is cold.
+  const auto answer_cold = [&] {
+    core::ResultCache::instance().clear_memory();
+    return ask(dispatcher, req);
+  };
+  const std::size_t corrupt0 = core::result_cache_stats().corrupt_records;
+  const std::uint64_t computed0 = serve_counter("serve.computed");
+
+  fs::resize_file(record, full / 2);  // truncated mid-payload
+  EXPECT_EQ(answer_cold(), want);
+  EXPECT_EQ(core::result_cache_stats().corrupt_records, corrupt0 + 1);
+  EXPECT_EQ(serve_counter("serve.computed"), computed0 + 1);
+  ASSERT_EQ(fs::file_size(record), full);  // the recompute rewrote it
+
+  {  // same length, one payload byte flipped: the checksum catches it
+    std::fstream f(record, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(full - 3));
+    char c = 0;
+    f.get(c);
+    f.seekp(static_cast<std::streamoff>(full - 3));
+    f.put(static_cast<char>(c ^ 0x01));
+  }
+  EXPECT_EQ(answer_cold(), want);
+  EXPECT_EQ(core::result_cache_stats().corrupt_records, corrupt0 + 2);
+  EXPECT_EQ(serve_counter("serve.computed"), computed0 + 2);
+
+  fs::resize_file(record, 10);  // shorter than a record header
+  EXPECT_EQ(answer_cold(), want);
+  EXPECT_EQ(core::result_cache_stats().corrupt_records, corrupt0 + 3);
+
+  // The rewritten record serves a clean disk hit.
+  const std::size_t disk_hits0 = core::result_cache_stats().disk_hits;
+  EXPECT_EQ(answer_cold(), want);
+  EXPECT_EQ(core::result_cache_stats().disk_hits, disk_hits0 + 1);
+  EXPECT_EQ(serve_counter("serve.computed"), computed0 + 3);
+  fs::remove_all(cfg.dir);
 }
 
 TEST_F(ServeTest, DispatcherRejectsOnOverloadWithRetryHint) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/ascii_plot.hpp"
 #include "util/cli.hpp"
@@ -219,6 +225,60 @@ TEST(Format, Speedup) { EXPECT_EQ(format_speedup(1.2345), "1.234x"); }
 TEST(Format, Pad) {
   EXPECT_EQ(pad("ab", 4), "ab  ");
   EXPECT_EQ(pad("abcdef", 3), "abc");
+}
+
+/// The reference hexf must reproduce byte for byte.
+std::string printf_hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// Counts inputs where util::hexf differs from glibc's %a, printing the
+/// first few so a failure names its values.
+std::size_t hexf_mismatches(double v, std::size_t* seen) {
+  const std::string got = hexf(v);
+  const std::string want = printf_hex(v);
+  if (got == want) return 0;
+  if ((*seen)++ < 5)
+    ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v) << ": hexf "
+                  << got << ", %a " << want;
+  return 1;
+}
+
+TEST(Format, HexfIsByteIdenticalToPrintfHexOnEdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::size_t seen = 0, bad = 0;
+  for (const double v : {0.0, kInf, nan, std::numeric_limits<double>::denorm_min(), DBL_MIN,
+                         DBL_MAX, 1.0, 0.1, 1.0 / 3.0}) {
+    bad += hexf_mismatches(v, &seen);
+    bad += hexf_mismatches(-v, &seen);
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    bad += hexf_mismatches(std::ldexp(1.0, e), &seen);
+    bad += hexf_mismatches(-std::ldexp(1.0, e), &seen);
+  }
+  EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(hexf(-0.0), "-0x0p+0");
+  EXPECT_EQ(hexf(-kInf), "-inf");
+  EXPECT_EQ(hexf(std::numeric_limits<double>::denorm_min()), "0x0.0000000000001p-1022");
+  std::string out = "x=";
+  append_hexf(out, 1.5);
+  EXPECT_EQ(out, "x=0x1.8p+0");
+}
+
+TEST(Format, HexfIsByteIdenticalToPrintfHexOnRandomBitPatterns) {
+  Xoshiro256 rng(0x6865786621ull);
+  std::size_t seen = 0, bad = 0;
+  // Every bit pattern is a double: normals, subnormals, infinities and
+  // NaN payloads of both signs.
+  for (int i = 0; i < 1'000'000; ++i)
+    bad += hexf_mismatches(std::bit_cast<double>(rng.next()), &seen);
+  // Subnormals only: sign bit and mantissa random, exponent field zero.
+  for (int i = 0; i < 100'000; ++i)
+    bad += hexf_mismatches(std::bit_cast<double>(rng.next() & 0x800fffffffffffffull), &seen);
+  EXPECT_EQ(bad, 0u);
 }
 
 TEST(AsciiPlot, RendersSeries) {

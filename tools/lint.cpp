@@ -194,7 +194,8 @@ void check_thread(const std::string& norm, Sink& sink) {
 
 bool float_print_scope(const std::string& norm) {
   return path_has(norm, "core/sweep.") || path_has(norm, "core/experiment.") ||
-         path_has(norm, "core/result_cache.") || path_has(norm, "serve/protocol.");
+         path_has(norm, "core/result_cache.") || path_has(norm, "serve/protocol.") ||
+         path_has(norm, "advise/advise.");
 }
 
 void check_float_print(const std::string& norm, Sink& sink) {
@@ -203,13 +204,13 @@ void check_float_print(const std::string& norm, Sink& sink) {
     const Line& line = sink.lines[li];
     if (has_float_conversion(line.strings))
       sink.emit(li, kFloatPrint,
-                "decimal float conversion in a serialization path; use the "
-                "canonical %a helpers (hex() / hex_double)");
+                "decimal float conversion in a serialization path; use "
+                "util::hexf / util::append_hexf (util/format.hpp)");
     for (std::size_t p : find_all(line.code, "std::to_string"))
       if (token_at(line.code, p, "std::to_string"))
         sink.emit(li, kFloatPrint,
                   "std::to_string in a serialization path; floats must go "
-                  "through the canonical %a helpers");
+                  "through util::hexf (util/format.hpp)");
   }
 }
 
