@@ -7,7 +7,7 @@
 
 #include "common.hpp"
 #include "kernels/stencil.hpp"
-#include "sim/cache.hpp"
+#include "sim/flat_cache.hpp"
 #include "util/csv.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -28,10 +28,8 @@ int main() {
       trace.push_back(offset);            // region A
       trace.push_back(offset + cap);      // region B: same sets when DM
     }
-    sim::SetAssociativeCache dm({.name = "dm", .capacity = cap, .line_size = 64,
-                                 .associativity = 1});
-    sim::SetAssociativeCache sa({.name = "sa", .capacity = cap, .line_size = 64,
-                                 .associativity = 8});
+    sim::FlatCache dm({.name = "dm", .capacity = cap, .line_size = 64, .associativity = 1});
+    sim::FlatCache sa({.name = "sa", .capacity = cap, .line_size = 64, .associativity = 8});
     for (auto a : trace) {
       dm.access(a, false);
       sa.access(a, false);

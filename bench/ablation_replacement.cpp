@@ -7,7 +7,7 @@
 #include "common.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/stream.hpp"
-#include "sim/cache.hpp"
+#include "sim/flat_cache.hpp"
 #include "sparse/generators.hpp"
 #include "trace/recorder.hpp"
 #include "util/csv.hpp"
@@ -15,11 +15,12 @@
 #include "util/units.hpp"
 
 namespace {
-/// Hit rate of a 1 MB 8-way cache with the given policy on a trace.
+/// Hit rate of a 1 MB 8-way cache with the given policy on a trace (the flat
+/// core: bit-identical to the reference model, random victims included).
 double hit_rate(opm::sim::ReplacementPolicy policy,
                 const std::vector<opm::trace::MemEvent>& events) {
-  opm::sim::SetAssociativeCache cache({.name = "c", .capacity = 1024 * 1024, .line_size = 64,
-                                       .associativity = 8, .policy = policy});
+  opm::sim::FlatCache cache({.name = "c", .capacity = 1024 * 1024, .line_size = 64,
+                             .associativity = 8, .policy = policy});
   for (const auto& e : events) {
     const std::uint64_t line = e.addr & ~63ull;
     const std::uint64_t end = (e.addr + e.size - 1) & ~63ull;

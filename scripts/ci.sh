@@ -2,7 +2,7 @@
 # Static-analysis + sanitizer + cache + serve + perf CI for the tier-1
 # test suite.
 #
-#   ./scripts/ci.sh [static|thread|address|undefined|cache|serve|advise|perf|all]
+#   ./scripts/ci.sh [static|thread|address|undefined|cache|serve|advise|perf|repro|all]
 #   (default: all)
 #
 # The static job runs FIRST and needs no test execution: it builds only the
@@ -66,6 +66,13 @@
 # jobs above keep instrumenting the reference-model path too: ctest runs
 # test_sim_differential, which drives SetAssociativeCache and
 # ReferenceMemorySystem alongside the flat core.
+#
+# The repro job gates the paper artifacts themselves: it runs one serial
+# pass of the repository benchmark's repro-cold workload (every table,
+# figure, ablation and validation harness, cache off) and requires every
+# harness's stdout to hash to its entry in opmbench/digests.txt — the
+# result line must read "correct": true with no failed operation. It
+# builds its own Release tree (build-repro).
 #
 # Fail-fast: set -e aborts on the first failing job; the EXIT trap prints
 # a summary of which jobs ran and where the run stopped.
@@ -479,6 +486,23 @@ run_perf() {
   echo "   baseline update: tools/opm_benchdiff --update-baseline BENCH_<x>.json <fresh>"
 }
 
+run_repro() {
+  echo "== [repro] one repro-cold pass: harness stdout vs opmbench/digests.txt"
+  local out
+  out="$(cd "$root" && CARGO_TARGET_DIR="$root/build-repro" \
+      python3 opmbench/run.py --workload repro-cold --seed 1 --seconds 1 --trace 0)"
+  local result
+  result="$(tail -n 1 <<< "$out")"
+  if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' "$result"; then
+    echo "ci: FAIL — repro-cold is not correct (a harness exited nonzero or its" \
+         "output no longer matches opmbench/digests.txt): $result" >&2
+    exit 1
+  fi
+  echo "   $result"
+}
+
 case "$mode" in
   static)    run_job static run_static ;;
   thread)    run_job thread run_one thread build-tsan ;;
@@ -488,6 +512,7 @@ case "$mode" in
   serve)     run_job serve run_serve ;;
   advise)    run_job advise run_advise ;;
   perf)      run_job perf run_perf ;;
+  repro)     run_job repro run_repro ;;
   all)       run_job static run_static
              run_job thread run_one thread build-tsan
              run_job address run_one address build-asan
@@ -495,8 +520,9 @@ case "$mode" in
              run_job cache run_cache
              run_job serve run_serve
              run_job advise run_advise
-             run_job perf run_perf ;;
-  *) echo "usage: $0 [static|thread|address|undefined|cache|serve|advise|perf|all]" >&2; exit 2 ;;
+             run_job perf run_perf
+             run_job repro run_repro ;;
+  *) echo "usage: $0 [static|thread|address|undefined|cache|serve|advise|perf|repro|all]" >&2; exit 2 ;;
 esac
 
 echo "ci: suite(s) green"

@@ -132,11 +132,13 @@ WindowSampler::WindowSampler(const Platform& platform, const SampleConfig& confi
 }
 
 void WindowSampler::enable_prefetcher(std::uint32_t streams, std::uint32_t depth) {
+  // The halves construct (and validate) their prefetchers first, so a
+  // rejected configuration leaves the sampler unchanged.
+  half_a_.enable_prefetcher(streams, depth);
+  half_b_.enable_prefetcher(streams, depth);
   prefetcher_ = true;
   pf_streams_ = streams;
   pf_depth_ = depth;
-  half_a_.enable_prefetcher(streams, depth);
-  half_b_.enable_prefetcher(streams, depth);
 }
 
 void WindowSampler::forward_line(std::uint64_t line, std::int8_t rank,

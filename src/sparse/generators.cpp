@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -15,9 +15,21 @@ void require_positive(index_t n) {
   if (n <= 0) throw std::invalid_argument("generator: n must be positive");
 }
 
-/// Emits one row given a sorted unique column set, guaranteeing r itself.
-void emit_row(Csr& out, index_t r, std::set<index_t>& cols, util::Xoshiro256& rng) {
-  cols.insert(r);
+/// Inserts `c` into a row's sorted, duplicate-free column list. Rows hold a
+/// few dozen columns, where a sorted vector (appends for ascending inserts,
+/// one short move otherwise) beats a node-allocating std::set.
+void insert_col(std::vector<index_t>& cols, index_t c) {
+  if (cols.empty() || cols.back() < c) {
+    cols.push_back(c);
+    return;
+  }
+  const auto it = std::lower_bound(cols.begin(), cols.end(), c);
+  if (*it != c) cols.insert(it, c);
+}
+
+/// Emits one row given a sorted unique column list, guaranteeing r itself.
+void emit_row(Csr& out, index_t r, std::vector<index_t>& cols, util::Xoshiro256& rng) {
+  insert_col(cols, r);
   for (index_t c : cols) {
     out.col_idx.push_back(c);
     // Diagonal dominance keeps triangular solves well-conditioned.
@@ -38,12 +50,12 @@ Csr make_banded(index_t n, index_t half_bandwidth, double avg_row_nnz, std::uint
   const index_t band = std::max<index_t>(half_bandwidth, 1);
   const double width = static_cast<double>(2 * band + 1);
   const double keep = std::clamp(avg_row_nnz / width, 0.0, 1.0);
-  std::set<index_t> cols;
+  std::vector<index_t> cols;
   for (index_t r = 0; r < n; ++r) {
     const index_t lo = std::max<index_t>(0, r - band);
     const index_t hi = std::min<index_t>(n - 1, r + band);
     for (index_t c = lo; c <= hi; ++c)
-      if (c == r || rng.uniform() < keep) cols.insert(c);
+      if (c == r || rng.uniform() < keep) insert_col(cols, c);
     emit_row(out, r, cols, rng);
   }
   return out;
@@ -55,13 +67,13 @@ Csr make_random_uniform(index_t n, double avg_row_nnz, std::uint64_t seed) {
   Csr out;
   out.rows = out.cols = n;
   out.row_ptr.push_back(0);
-  std::set<index_t> cols;
+  std::vector<index_t> cols;
   for (index_t r = 0; r < n; ++r) {
     // Poisson-ish row length around the target average.
     const auto target = static_cast<std::size_t>(
         std::max(1.0, avg_row_nnz + rng.normal() * std::sqrt(std::max(avg_row_nnz, 1.0))));
     while (cols.size() < std::min<std::size_t>(target, static_cast<std::size_t>(n)))
-      cols.insert(static_cast<index_t>(rng.bounded(static_cast<std::uint64_t>(n))));
+      insert_col(cols, static_cast<index_t>(rng.bounded(static_cast<std::uint64_t>(n))));
     emit_row(out, r, cols, rng);
   }
   return out;
@@ -98,12 +110,12 @@ Csr make_block_diagonal(index_t n, index_t block, double fill, std::uint64_t see
   Csr out;
   out.rows = out.cols = n;
   out.row_ptr.push_back(0);
-  std::set<index_t> cols;
+  std::vector<index_t> cols;
   for (index_t r = 0; r < n; ++r) {
     const index_t b0 = (r / block) * block;
     const index_t b1 = std::min<index_t>(b0 + block, n);
     for (index_t c = b0; c < b1; ++c)
-      if (c == r || rng.uniform() < fill) cols.insert(c);
+      if (c == r || rng.uniform() < fill) insert_col(cols, c);
     emit_row(out, r, cols, rng);
   }
   return out;
@@ -162,13 +174,13 @@ Csr make_arrow(index_t n, index_t width, std::uint64_t seed) {
   Csr out;
   out.rows = out.cols = n;
   out.row_ptr.push_back(0);
-  std::set<index_t> cols;
+  std::vector<index_t> cols;
   for (index_t r = 0; r < n; ++r) {
     if (r < w) {
       for (index_t c = 0; c < n; c += std::max<index_t>(1, n / 4096))
-        cols.insert(c);  // heavy head rows (subsampled so nnz stays bounded)
+        insert_col(cols, c);  // heavy head rows (subsampled so nnz stays bounded)
     } else {
-      for (index_t c = 0; c < w; ++c) cols.insert(c);
+      for (index_t c = 0; c < w; ++c) insert_col(cols, c);
     }
     emit_row(out, r, cols, rng);
   }
@@ -181,13 +193,13 @@ Csr make_tridiag_perturbed(index_t n, double extra_per_row, std::uint64_t seed) 
   Csr out;
   out.rows = out.cols = n;
   out.row_ptr.push_back(0);
-  std::set<index_t> cols;
+  std::vector<index_t> cols;
   for (index_t r = 0; r < n; ++r) {
-    if (r > 0) cols.insert(r - 1);
-    if (r + 1 < n) cols.insert(r + 1);
+    if (r > 0) insert_col(cols, r - 1);
+    if (r + 1 < n) insert_col(cols, r + 1);
     const auto extras = static_cast<std::size_t>(std::max(0.0, extra_per_row + rng.normal()));
     for (std::size_t e = 0; e < extras; ++e)
-      cols.insert(static_cast<index_t>(rng.bounded(static_cast<std::uint64_t>(n))));
+      insert_col(cols, static_cast<index_t>(rng.bounded(static_cast<std::uint64_t>(n))));
     emit_row(out, r, cols, rng);
   }
   return out;

@@ -1,19 +1,28 @@
 #include "trace/reuse.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
 namespace opm::trace {
 
 namespace {
-std::size_t lowbit(std::size_t i) { return i & (~i + 1); }
+std::uint64_t lowbit(std::uint64_t i) { return i & (~i + 1); }
+
+/// Marker positions of a fresh tree; compactions never shrink below it.
+constexpr std::uint64_t kMinPositions = 64;
+constexpr std::size_t kMinTable = 16;
 }  // namespace
 
-ReuseDistanceAnalyzer::ReuseDistanceAnalyzer(std::uint32_t line_size) : line_size_(line_size) {
+ReuseDistanceAnalyzer::ReuseDistanceAnalyzer(std::uint32_t line_size)
+    : line_size_(line_size),
+      tree_(kMinPositions + 1, 0),
+      table_(kMinTable),
+      table_shift_(64 - static_cast<std::uint32_t>(std::countr_zero(kMinTable))),
+      histogram_(1, 0) {
   if (line_size == 0 || !std::has_single_bit(line_size))
     throw std::invalid_argument("line size must be a power of two");
   line_shift_ = static_cast<std::uint64_t>(std::countr_zero(line_size));
-  fenwick_.push_back(0);  // 1-based tree; slot 0 unused
 }
 
 void ReuseDistanceAnalyzer::touch(std::uint64_t addr, std::uint32_t size) {
@@ -21,28 +30,102 @@ void ReuseDistanceAnalyzer::touch(std::uint64_t addr, std::uint32_t size) {
   const std::uint64_t first = addr >> line_shift_;
   const std::uint64_t last = (addr + size - 1) >> line_shift_;
   for (std::uint64_t line = first; line <= last; ++line) {
-    const std::size_t now = static_cast<std::size_t>(accesses_);
-    ++accesses_;
-
-    const auto it = last_use_.find(line);
-    if (it == last_use_.end()) {
-      ++cold_;
-      fenwick_append(1);
-      last_use_.emplace(line, now);
-    } else {
-      const std::size_t prev = it->second;
-      // Live markers are the most-recent access of each distinct line, so
-      // the count of markers strictly after `prev` is the stack distance.
-      const std::uint64_t total_markers = last_use_.size();
-      const std::uint64_t at_or_before_prev =
-          static_cast<std::uint64_t>(fenwick_prefix(prev + 1));
-      const std::uint64_t distance = total_markers - at_or_before_prev;
-      ++histogram_[distance];
-      fenwick_add(prev, -1);  // marker moves from prev to now
-      fenwick_append(1);
-      it->second = now;
+    if (accesses_++ != 0 && line == last_line_) {
+      // The line's marker is already the newest: distance 0, nothing moves.
+      ++histogram_[0];
+      continue;
     }
+    last_line_ = line;
+    Entry& e = entry(line);
+    if (e.pos == kFree) {
+      ++cold_;
+    } else {
+      // Live markers are the most-recent access of each distinct line, so
+      // the count of markers strictly after the previous position is the
+      // stack distance.
+      const std::uint64_t distance = cold_ - tree_prefix(e.pos + 1);
+      if (distance >= histogram_.size())
+        histogram_.resize(std::max(distance + 1, 2 * histogram_.size()), 0);
+      ++histogram_[distance];
+      tree_add(e.pos, ~0u);  // -1: the marker leaves its old position
+      e.pos = kFree;         // and is not live while a compaction runs
+    }
+    e.pos = next_position();
+    tree_add(e.pos, 1);
   }
+}
+
+ReuseDistanceAnalyzer::Entry& ReuseDistanceAnalyzer::entry(std::uint64_t line) {
+  for (;;) {
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = (line * 0x9e3779b97f4a7c15ull) >> table_shift_;; i = (i + 1) & mask) {
+      Entry& e = table_[i];
+      if (e.pos == kFree) {
+        if (2 * (table_used_ + 1) > table_.size()) break;  // keep load <= 1/2
+        e.line = line;
+        ++table_used_;
+        return e;
+      }
+      if (e.line == line) return e;
+    }
+    grow_table();
+  }
+}
+
+void ReuseDistanceAnalyzer::grow_table() {
+  std::vector<Entry> old(table_.size() * 2);
+  old.swap(table_);
+  --table_shift_;
+  const std::size_t mask = table_.size() - 1;
+  for (const Entry& e : old) {
+    if (e.pos == kFree) continue;
+    std::size_t i = (e.line * 0x9e3779b97f4a7c15ull) >> table_shift_;
+    while (table_[i].pos != kFree) i = (i + 1) & mask;
+    table_[i] = e;
+  }
+}
+
+std::uint64_t ReuseDistanceAnalyzer::next_position() {
+  if (next_pos_ + 1 >= tree_.size()) compact();
+  return next_pos_++;
+}
+
+void ReuseDistanceAnalyzer::compact() {
+  ++compactions_;
+  // Position -> table index of the marker there, then renumber in order.
+  std::vector<std::uint64_t> owner(next_pos_, kFree);
+  for (std::size_t i = 0; i < table_.size(); ++i)
+    if (table_[i].pos != kFree) owner[table_[i].pos] = i;
+  std::uint64_t live = 0;
+  for (const std::uint64_t i : owner)
+    if (i != kFree) table_[i].pos = live++;
+
+  // Rebuild the tree over the new positions: ones at [0, live), in O(size).
+  const std::uint64_t positions = std::bit_ceil(std::max(2 * live, kMinPositions));
+  tree_.assign(positions + 1, 0);
+  for (std::uint64_t i = 1; i <= positions; ++i) {
+    if (i <= live) ++tree_[i];
+    const std::uint64_t parent = i + lowbit(i);
+    if (parent <= positions) tree_[parent] += tree_[i];
+  }
+  next_pos_ = live;
+}
+
+void ReuseDistanceAnalyzer::tree_add(std::uint64_t pos, std::uint32_t delta) {
+  for (std::uint64_t i = pos + 1; i < tree_.size(); i += lowbit(i)) tree_[i] += delta;
+}
+
+std::uint64_t ReuseDistanceAnalyzer::tree_prefix(std::uint64_t count) const {
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = count; i > 0; i -= lowbit(i)) sum += tree_[i];
+  return sum;
+}
+
+std::map<std::uint64_t, std::uint64_t> ReuseDistanceAnalyzer::histogram() const {
+  std::map<std::uint64_t, std::uint64_t> out;
+  for (std::uint64_t d = 0; d < histogram_.size(); ++d)
+    if (histogram_[d] != 0) out.emplace_hint(out.end(), d, histogram_[d]);
+  return out;
 }
 
 std::uint64_t ReuseDistanceAnalyzer::miss_lines(std::uint64_t capacity_lines) const {
@@ -50,8 +133,7 @@ std::uint64_t ReuseDistanceAnalyzer::miss_lines(std::uint64_t capacity_lines) co
   // capacity_lines lines iff d < capacity_lines (d intervening distinct
   // lines plus the reused line itself still fit). Cold misses always miss.
   std::uint64_t misses = cold_;
-  for (const auto& [distance, count] : histogram_)
-    if (distance >= capacity_lines) misses += count;
+  for (std::uint64_t d = capacity_lines; d < histogram_.size(); ++d) misses += histogram_[d];
   return misses;
 }
 
@@ -63,30 +145,6 @@ double ReuseDistanceAnalyzer::hit_rate(std::uint64_t capacity_bytes) const {
   if (accesses_ == 0) return 0.0;
   const std::uint64_t misses = miss_lines(capacity_bytes / line_size_);
   return 1.0 - static_cast<double>(misses) / static_cast<double>(accesses_);
-}
-
-void ReuseDistanceAnalyzer::fenwick_append(std::int64_t value) {
-  // Online Fenwick construction: the node for 1-based index i covers the
-  // range (i - lowbit(i), i]; seed it from existing prefix sums so that
-  // earlier point-updates are already reflected.
-  const std::size_t i = fenwick_.size();  // new 1-based index
-  const std::int64_t below = fenwick_prefix_1based(i - 1);
-  const std::int64_t range_start = fenwick_prefix_1based(i - lowbit(i));
-  fenwick_.push_back(below - range_start + value);
-}
-
-void ReuseDistanceAnalyzer::fenwick_add(std::size_t pos, std::int64_t delta) {
-  for (std::size_t i = pos + 1; i < fenwick_.size(); i += lowbit(i)) fenwick_[i] += delta;
-}
-
-std::int64_t ReuseDistanceAnalyzer::fenwick_prefix(std::size_t count) const {
-  return fenwick_prefix_1based(count);
-}
-
-std::int64_t ReuseDistanceAnalyzer::fenwick_prefix_1based(std::size_t k) const {
-  std::int64_t sum = 0;
-  for (std::size_t i = k; i > 0; i -= lowbit(i)) sum += fenwick_[i];
-  return sum;
 }
 
 }  // namespace opm::trace

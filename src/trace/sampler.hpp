@@ -6,10 +6,11 @@
 
 /// Sampled reuse-distance analysis for long traces.
 ///
-/// Exact reuse-distance measurement costs O(log n) per access with O(n)
-/// state; for billion-access traces that dominates runtime. Set sampling
-/// keeps the analysis unbiased while shrinking it: only cache lines whose
-/// hash falls under `rate` are tracked, and every tracked access's
+/// Exact reuse-distance measurement costs O(log D) per access with O(D)
+/// state, D distinct lines; for billion-access traces over large
+/// footprints that still dominates runtime. Set sampling keeps the
+/// analysis unbiased while shrinking it: only cache lines whose hash
+/// falls under `rate` are tracked, and every tracked access's
 /// measured *sampled* stack distance is scaled back by 1/rate — the
 /// classic StatStack/set-sampling estimator. Tests cross-check the
 /// estimated miss curve against the exact analyzer.

@@ -9,6 +9,7 @@
 #include "sim/memory_system.hpp"
 #include "sim/power.hpp"
 #include "sim/prefetcher.hpp"
+#include "sim/window_sampler.hpp"
 #include "sparse/generators.hpp"
 #include "trace/recorder.hpp"
 #include "trace/sampler.hpp"
@@ -75,6 +76,105 @@ TEST(Prefetcher, ResetClearsState) {
   pf.reset();
   EXPECT_EQ(pf.issued(), 0u);
   EXPECT_TRUE(pf.observe(192).empty());  // must retrain
+}
+
+TEST(Prefetcher, ZeroStreamsIsRejected) {
+  // A zero-entry stream table has no slot to allocate into: rejected up
+  // front, leaving the memory system and the sampler usable.
+  EXPECT_THROW(sim::StridePrefetcher(0, 4), std::invalid_argument);
+
+  sim::MemorySystem ms(sim::broadwell(sim::EdramMode::kOff));
+  EXPECT_THROW(ms.enable_prefetcher(0, 4), std::invalid_argument);
+  ms.load(0, 8);  // still a working system, without a prefetcher
+  EXPECT_EQ(ms.prefetch_fills(), 0u);
+  EXPECT_EQ(ms.report().total_accesses, 1u);
+
+  sim::WindowSampler sampler(sim::broadwell(sim::EdramMode::kOff), sim::SampleConfig{});
+  EXPECT_THROW(sampler.enable_prefetcher(0, 4), std::invalid_argument);
+  sampler.load(0, 8);
+  EXPECT_EQ(sampler.sampled_report().traffic.total_accesses, 1u);
+}
+
+// The hot path (observe_into: vector table scan where the host has AVX2)
+// must agree with the scalar oracle (observe) on every step: same targets,
+// same counters.
+void expect_scan_matches_oracle(std::size_t streams, std::size_t depth,
+                                const std::vector<std::uint64_t>& addrs) {
+  sim::StridePrefetcher fast(streams, depth), oracle(streams, depth);
+  std::vector<std::uint64_t> out(depth);
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    const std::size_t n = fast.observe_into(addrs[i], out.data());
+    const std::vector<std::uint64_t> want = oracle.observe(addrs[i]);
+    ASSERT_EQ(std::vector<std::uint64_t>(out.begin(), out.begin() + static_cast<long>(n)), want)
+        << "streams " << streams << " depth " << depth << " step " << i;
+  }
+  EXPECT_EQ(fast.issued(), oracle.issued());
+  EXPECT_EQ(fast.stream_hits(), oracle.stream_hits());
+}
+
+TEST(PrefetcherScan, SeededRandomLinesMatchOracle) {
+  for (const std::size_t streams : {1u, 4u, 5u, 16u, 17u}) {
+    util::Xoshiro256 rng(streams);
+    std::vector<std::uint64_t> addrs;
+    for (int i = 0; i < 20000; ++i) {
+      // Mostly far jumps; some land 0-4 lines past the previous line.
+      const std::uint64_t line = rng.uniform() < 0.7
+                                     ? rng.bounded(1u << 24)
+                                     : (addrs.empty() ? 0 : addrs.back() / 64) + rng.bounded(5);
+      addrs.push_back(line * 64);
+    }
+    expect_scan_matches_oracle(streams, 4, addrs);
+  }
+}
+
+TEST(PrefetcherScan, AscendingAndDescendingStridesMatchOracle) {
+  for (const std::size_t streams : {1u, 4u, 5u, 16u, 17u}) {
+    std::vector<std::uint64_t> addrs;
+    // Up to 20 interleaved streams (more than some tables hold): strides
+    // +1, -1, +2, -2 lines from distant bases.
+    const std::int64_t strides[] = {1, -1, 2, -2};
+    for (std::int64_t step = 0; step < 400; ++step)
+      for (std::int64_t s = 0; s < 20; ++s)
+        addrs.push_back(static_cast<std::uint64_t>(((s + 1) << 22) + strides[s % 4] * step) * 64);
+    expect_scan_matches_oracle(streams, 8, addrs);
+  }
+}
+
+TEST(PrefetcherScan, TargetsBelowLineZeroStopEarlyOnBothPaths) {
+  for (const std::size_t streams : {1u, 5u, 17u}) {
+    std::vector<std::uint64_t> addrs;
+    for (std::uint64_t line = 12; line-- > 0;) addrs.push_back(line * 64);  // down to 0
+    for (std::uint64_t line = 13; line >= 2; line -= 2) addrs.push_back(line * 64);
+    expect_scan_matches_oracle(streams, 8, addrs);
+  }
+  sim::StridePrefetcher pf(4, 8);
+  std::uint64_t out[8];
+  pf.observe_into(64 * 3, out);
+  pf.observe_into(64 * 2, out);                 // stride -1 locked in
+  EXPECT_EQ(pf.observe_into(64 * 1, out), 1u);  // only line 0 is >= 0
+  EXPECT_EQ(out[0], 0u);
+}
+
+TEST(PrefetcherScan, AblationLineStreamsMatchOracle) {
+  // The exact line streams bench/ablation_prefetcher simulates.
+  const auto lines_of = [](const trace::VectorRecorder& rec) {
+    std::vector<std::uint64_t> out;
+    for (const auto& e : rec.events)
+      for (std::uint64_t l = e.addr & ~63ull; l <= ((e.addr + e.size - 1) & ~63ull); l += 64)
+        out.push_back(l);
+    return out;
+  };
+  const std::size_t n = (4 * MiB) / 8;
+  std::vector<double> a(n), b(n), c(n);
+  trace::VectorRecorder triad;
+  kernels::stream_triad_instrumented(a, b, c, 1.0, triad);
+  expect_scan_matches_oracle(16, 8, lines_of(triad));
+
+  const sparse::Csr m = sparse::make_random_uniform(60000, 12.0, 3);
+  std::vector<double> x(60000, 1.0), y(60000);
+  trace::VectorRecorder spmv;
+  kernels::spmv_csr_instrumented(m, x, y, spmv);
+  expect_scan_matches_oracle(16, 8, lines_of(spmv));
 }
 
 TEST(PrefetcherIntegration, CoversStreamingDemandMisses) {

@@ -33,6 +33,7 @@
 #include "serve/protocol.hpp"
 #include "sim/memory_system.hpp"
 #include "sim/platform.hpp"
+#include "sim/prefetcher.hpp"
 #include "sim/simd_probe.hpp"
 #include "sim/window_sampler.hpp"
 #include "util/metrics.hpp"
@@ -52,6 +53,11 @@ TEST(SimdProbe, BackendNameIsKnown) {
 TEST(SimdProbe, SelfCheckPassesOnThisHost) {
   // Every compiled backend vs the scalar oracle, all reachable shapes.
   EXPECT_TRUE(sim::simd::self_check());
+}
+
+TEST(SimdProbe, PrefetcherScanSelfCheckPassesOnThisHost) {
+  // The prefetcher's vector stream-table scan vs its scalar oracle.
+  EXPECT_TRUE(sim::StridePrefetcher::self_check());
 }
 
 // -------------------------------------------------------- trace driver --

@@ -9,6 +9,7 @@
 #include "sparse/mm_io.hpp"
 #include "sparse/segmented_sort.hpp"
 #include "sparse/stats.hpp"
+#include "util/fingerprint.hpp"
 #include "util/rng.hpp"
 
 namespace opm::sparse {
@@ -257,6 +258,41 @@ TEST(Generators, RmatHeavyTail) {
   const Csr a = make_rmat(1024, 8.0, 10);
   const MatrixStats s = compute_stats(a);
   EXPECT_GT(s.max_row_nnz, 4 * static_cast<std::int64_t>(s.avg_row_nnz));
+}
+
+/// Content digest of a CSR matrix: shape, then every row pointer, column
+/// index and value (doubles by bit pattern).
+std::string csr_digest(const Csr& a) {
+  util::Hasher128 h;
+  h.add(a.rows).add(a.cols);
+  for (const offset_t p : a.row_ptr) h.add(p);
+  for (const index_t c : a.col_idx) h.add(c);
+  for (const double v : a.values) h.add(v);
+  return h.digest().hex();
+}
+
+// Generator goldens: the exact (n, degree, seed) calls the paper harnesses
+// and the advisor make. A generator rewrite must reproduce every matrix bit
+// for bit — same RNG draw order, same column order, same values — or the
+// published artifacts change.
+TEST(GeneratorGoldens, HarnessMatricesAreBitStable) {
+  const std::pair<const char*, Csr (*)()> cases[] = {
+      // bench/ablation_prefetcher.cpp
+      {"94b158c39703065b7113b017d2c6d0b4", [] { return make_random_uniform(60000, 12.0, 3); }},
+      // bench/ablation_replacement.cpp
+      {"5748f1ed186d1cd111d82ef2a141b171", [] { return make_banded(20000, 16, 10.0, 1); }},
+      {"0168320baee0c95ff4c1f25ba305d325", [] { return make_random_uniform(20000, 10.0, 1); }},
+      // bench/validation_report.cpp
+      {"7884e5f11d584cbdc8b88ef1468b746e", [] { return make_banded(8192, 8, 8.0, 5); }},
+      {"ad42dcc688d6f96bea4ba35625eb5e3b", [] { return make_random_uniform(8192, 8.0, 5); }},
+      // src/advise/advise.cpp
+      {"696e37ff715e4321e17e38a370fee498", [] { return make_banded(16384, 32, 12.0, 42); }},
+      // the remaining set-based collection families
+      {"3c1ff9c817e515d8c071f73efbd40c4b", [] { return make_block_diagonal(3000, 24, 0.4, 7); }},
+      {"f9d7821d5448a546708e3e0e348b1f6d", [] { return make_arrow(5000, 6, 8); }},
+      {"9fbc723883b74941527fd2d35a183dcc", [] { return make_tridiag_perturbed(4000, 3.5, 9); }},
+  };
+  for (const auto& [golden, make] : cases) EXPECT_EQ(csr_digest(make()), golden);
 }
 
 TEST(Collection, PaperSuiteHas968Members) {

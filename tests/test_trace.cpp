@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -122,6 +125,86 @@ TEST(Reuse, MissCurveMonotoneNonIncreasing) {
   }
   EXPECT_EQ(a.miss_lines(1u << 20), a.cold_misses());
 }
+
+/// Naive LRU-stack oracle: an explicit recency stack (most recent at the
+/// back); a reuse's distance is its depth below the top. O(distance) per
+/// access — slow, and obviously right.
+struct NaiveLruStack {
+  std::vector<std::uint64_t> stack;
+  std::unordered_set<std::uint64_t> seen;
+  std::map<std::uint64_t, std::uint64_t> histogram;
+  std::uint64_t accesses = 0;
+  std::uint64_t cold = 0;
+
+  void touch(std::uint64_t addr, std::uint32_t size) {
+    if (size == 0) return;
+    for (std::uint64_t line = addr / 64; line <= (addr + size - 1) / 64; ++line) {
+      ++accesses;
+      if (seen.insert(line).second) {
+        ++cold;
+      } else {
+        const auto it = std::find(stack.rbegin(), stack.rend(), line);
+        ++histogram[static_cast<std::uint64_t>(it - stack.rbegin())];
+        stack.erase(std::next(it).base());
+      }
+      stack.push_back(line);
+    }
+  }
+  std::uint64_t miss_lines(std::uint64_t capacity) const {
+    std::uint64_t misses = cold;
+    for (const auto& [d, n] : histogram)
+      if (d >= capacity) misses += n;
+    return misses;
+  }
+};
+
+/// Exact agreement with the naive stack on traces large enough to force
+/// several marker compactions: > 50K distinct lines, multi-line touches,
+/// sparse addresses high in the address space and size-0 touches.
+class ReuseVsNaiveStack : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReuseVsNaiveStack, HistogramColdAndMissCurveExact) {
+  util::Xoshiro256 rng(GetParam());
+  ReuseDistanceAnalyzer analyzer;
+  NaiveLruStack oracle;
+  std::vector<std::uint64_t> recent;  // addresses touched so far
+  std::uint64_t next_new = 0;
+  const auto touch = [&](std::uint64_t addr, std::uint32_t size) {
+    analyzer.touch(addr, size);
+    oracle.touch(addr, size);
+    if (size != 0) recent.push_back(addr);
+  };
+  while (oracle.seen.size() < 60000) {
+    const double p = rng.uniform();
+    if (p < 0.40 || recent.empty()) {
+      // A new region: sparse, high addresses; sometimes a multi-line,
+      // unaligned touch.
+      const std::uint64_t base = (1ull << 62) + (next_new++ << 16) + rng.bounded(64);
+      touch(base, rng.uniform() < 0.2 ? static_cast<std::uint32_t>(1 + rng.bounded(300)) : 8);
+    } else if (p < 0.95) {
+      // Near reuse: one of the last few hundred touches.
+      const std::uint64_t back = 1 + rng.bounded(std::min<std::uint64_t>(recent.size(), 400));
+      touch(recent[recent.size() - back], 8);
+    } else if (p < 0.99) {
+      touch(recent.back() + 64 * rng.bounded(3), 8);  // same or adjacent line
+    } else if (p < 0.997) {
+      touch(rng.bounded(1ull << 40), 0);  // size 0: no access at all
+    } else {
+      touch(recent[rng.bounded(recent.size())], 16);  // far reuse
+    }
+  }
+
+  EXPECT_GE(analyzer.compactions(), 3u);
+  EXPECT_GT(analyzer.distinct_lines(), 50000u);
+  EXPECT_EQ(analyzer.accesses(), oracle.accesses);
+  EXPECT_EQ(analyzer.cold_misses(), oracle.cold);
+  EXPECT_EQ(analyzer.histogram(), oracle.histogram);
+  for (const std::uint64_t capacity :
+       {0ull, 1ull, 2ull, 7ull, 64ull, 1000ull, 4096ull, 50000ull, 1ull << 20})
+    EXPECT_EQ(analyzer.miss_lines(capacity), oracle.miss_lines(capacity)) << capacity;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReuseVsNaiveStack, ::testing::Values(3, 17));
 
 TEST(Recorders, VectorRecorderStoresEvents) {
   VectorRecorder rec;
