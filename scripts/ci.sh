@@ -6,14 +6,13 @@
 #   (default: all)
 #
 # The static job runs FIRST and needs no test execution: it builds only the
-# opm_lint and opm_analyze tools, scans src/ bench/ tests/ for
-# project-invariant violations (seeded-RNG-only, thread ownership,
-# canonical %a serialization, OPM_GUARDED_BY coverage, #pragma once, no
-# std::endl), then runs the four cross-file semantic passes (lock-order
-# cycles, protocol taxonomy exhaustiveness, metrics-name consistency,
-# layering — docs/MODEL.md §15) fail-fast against the checked-in
-# suppression baseline, and self-checks that seeded violations still trip
-# both tools. When a
+# opm_analyze tool and runs one fail-fast scan of src/ tools/ bench/ tests/
+# (docs/MODEL.md §15): four cross-file passes (lock-order cycles, protocol
+# taxonomy exhaustiveness, metrics-name consistency, layering) and six
+# per-file rules (seeded-RNG-only, thread ownership, canonical %a
+# serialization, OPM_GUARDED_BY coverage, #pragma once, no std::endl).
+# It then self-checks that one seeded fixture tree, holding a violation
+# for each of six IDs, still trips the tool. When a
 # clang++ with -Wthread-safety is available it also compiles the full tree
 # with the thread-safety annotations promoted to errors, proving every
 # lock acquisition at compile time; without clang the gate is skipped with
@@ -102,77 +101,51 @@ run_job() {
 
 run_static() {
   local dir="build-static"
-  echo "== [static] configure & build opm_lint + opm_analyze ($dir)"
+  echo "== [static] configure & build opm_analyze ($dir)"
   # Compile commands are exported so editor tooling / clang-tidy sessions
   # can piggyback on the CI configure.
   cmake -B "$root/$dir" -G Ninja -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
-  cmake --build "$root/$dir" --target opm_lint opm_analyze
-  echo "== [static] opm_lint src bench tests"
-  (cd "$root" && "$root/$dir/tools/opm_lint" src bench tests)
-  echo "== [static] linter self-check (seeded violations must be caught)"
-  local fixture="$root/$dir/lint-selfcheck"
-  rm -rf "$fixture"
-  mkdir -p "$fixture/src/core"
-  printf 'int f() { return rand(); }\n' > "$fixture/src/core/bad.cpp"
-  if (cd "$fixture" && "$root/$dir/tools/opm_lint" src > /dev/null); then
-    echo "ci: FAIL — opm_lint exited 0 on a seeded rand() violation" >&2
-    exit 1
-  fi
-  echo "   seeded rand() violation caught (nonzero exit)"
-  # Advise payloads are hex-float serializations too: a decimal conversion
-  # there must trip float-print.
-  rm -rf "$fixture/src"
-  mkdir -p "$fixture/src/advise"
-  printf 'void f(char* b, double v) { std::snprintf(b, 32, "%%f", v); }\n' \
-      > "$fixture/src/advise/advise.cpp"
-  local lout
-  if lout=$(cd "$fixture" && "$root/$dir/tools/opm_lint" src); then
-    echo "ci: FAIL — opm_lint exited 0 on a seeded advise float-print violation" >&2
-    exit 1
-  fi
-  if ! grep -q "float-print" <<< "$lout"; then
-    echo "ci: FAIL — seeded advise %f not reported as float-print; output:" >&2
-    echo "$lout" >&2
-    exit 1
-  fi
-  echo "   seeded advise float-print violation caught (nonzero exit)"
-  echo "== [static] opm_analyze (cross-file passes, docs/MODEL.md §15)"
-  # Fail-fast: any unsuppressed finding (or stale baseline entry) aborts
-  # the job here, before the expensive sanitizer builds. Per-pass timing
-  # is printed by the tool itself.
+  cmake --build "$root/$dir" --target opm_analyze
+  echo "== [static] opm_analyze (docs/MODEL.md §15)"
+  # Fail-fast: any finding not silenced by an inline
+  # `// opm-lint: allow(<id>)` marker aborts the job here, before the
+  # expensive sanitizer builds. Per-pass timing is printed by the tool.
   (cd "$root" && "$root/$dir/tools/opm_analyze" \
-      --baseline=tools/analyze_baseline.txt \
       src tools bench tests docs/MODEL.md scripts/ci.sh)
-  echo "== [static] analyzer self-check (four seeded violations must be caught)"
-  local afix="$root/$dir/analyze-selfcheck"
-  rm -rf "$afix"
-  mkdir -p "$afix/src/core" "$afix/src/serve" "$afix/src/util" "$afix/docs"
-  # One seed per pass: an ABBA lock cycle, an undocumented error kind, a
-  # one-edit metric typo, and a util → serve include.
+  echo "== [static] analyzer self-check (six seeded violations must be caught)"
+  local fix="$root/$dir/analyze-selfcheck"
+  rm -rf "$fix"
+  mkdir -p "$fix/src/core" "$fix/src/serve" "$fix/src/util" "$fix/src/advise" "$fix/docs"
+  # One seed per ID: a rand() call, a decimal %f in an advise payload (a
+  # hex-float serialization path), an ABBA lock cycle, an undocumented
+  # error kind, a one-edit metric typo, and a util → serve include.
+  printf 'int f() { return rand(); }\n' > "$fix/src/core/bad.cpp"
+  printf 'void f(char* b, double v) { std::snprintf(b, 32, "%%f", v); }\n' \
+      > "$fix/src/advise/advise.cpp"
   printf 'void fa() { util::MutexLock a(mu_a); util::MutexLock b(mu_b); }\n' \
-      > "$afix/src/core/a.cpp"
+      > "$fix/src/core/a.cpp"
   printf 'void fb() { util::MutexLock b(mu_b); util::MutexLock a(mu_a); }\n' \
-      > "$afix/src/core/b.cpp"
-  printf 'void r() { err->category = "vanished"; }\n' > "$afix/src/serve/server.cpp"
-  printf 'no such kind is documented here\n' > "$afix/docs/MODEL.md"
+      > "$fix/src/core/b.cpp"
+  printf 'void r() { err->category = "vanished"; }\n' > "$fix/src/serve/server.cpp"
+  printf 'no such kind is documented here\n' > "$fix/docs/MODEL.md"
   printf 'void m() { counter("core.hits").add(1); counter("core.hitz").add(1); }\n' \
-      > "$afix/src/core/m.cpp"
-  printf '#include "serve/server.hpp"\n' > "$afix/src/util/u.cpp"
-  local aout
-  if aout=$(cd "$afix" && "$root/$dir/tools/opm_analyze" src docs/MODEL.md); then
+      > "$fix/src/core/m.cpp"
+  printf '#include "serve/server.hpp"\n' > "$fix/src/util/u.cpp"
+  local out
+  if out=$(cd "$fix" && "$root/$dir/tools/opm_analyze" src docs/MODEL.md); then
     echo "ci: FAIL — opm_analyze exited 0 on seeded violations" >&2
     exit 1
   fi
-  for pass in lock-order protocol metrics layering; do
-    if ! grep -q "\[$pass\]" <<< "$aout"; then
-      echo "ci: FAIL — seeded $pass violation not caught; output:" >&2
-      echo "$aout" >&2
+  for id in rng float-print lock-order protocol metrics layering; do
+    if ! grep -q "\[$id\]" <<< "$out"; then
+      echo "ci: FAIL — seeded $id violation not caught; output:" >&2
+      echo "$out" >&2
       exit 1
     fi
   done
-  echo "   all four seeded violations caught (nonzero exit, file:line diagnostics)"
+  echo "   all six seeded violations caught (nonzero exit, file:line diagnostics)"
   if command -v clang++ > /dev/null 2>&1; then
     echo "== [static] clang -Wthread-safety -Werror full-tree compile"
     local tsdir="build-threadsafety"

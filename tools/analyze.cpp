@@ -30,6 +30,12 @@ const char* const kLockOrder = "lock-order";
 const char* const kProtocol = "protocol";
 const char* const kMetrics = "metrics";
 const char* const kLayering = "layering";
+const char* const kRng = "rng";
+const char* const kThread = "thread-ownership";
+const char* const kFloatPrint = "float-print";
+const char* const kGuardedMutex = "guarded-mutex";
+const char* const kPragmaOnce = "pragma-once";
+const char* const kNoEndl = "no-endl";
 
 std::string normalized(const std::string& path) {
   std::string p = path;
@@ -85,11 +91,29 @@ struct Sink {
   std::vector<Finding>* findings;
   const char* pass;
 
-  void emit(std::string file, std::size_t line, std::string key, std::string message) {
-    findings->push_back(Finding{std::move(file), line, pass, std::move(key),
-                                std::move(message)});
+  void emit(std::string file, std::size_t line, std::string message) {
+    findings->push_back(Finding{std::move(file), line, pass, std::move(message)});
   }
 };
+
+/// True when a line comment carries "opm-lint: allow(a,b)" naming `pass`.
+/// Only the line-comment text is consulted: a marker spelled inside a
+/// string literal or a block comment is data, not a suppression.
+bool allows(const std::string& comment, const std::string& pass) {
+  const std::size_t marker = comment.find("opm-lint:");
+  if (marker == std::string::npos) return false;
+  const std::size_t open = comment.find("allow(", marker);
+  if (open == std::string::npos) return false;
+  const std::size_t close = comment.find(')', open);
+  if (close == std::string::npos) return false;
+  std::istringstream ids(comment.substr(open + 6, close - open - 6));
+  for (std::string id; std::getline(ids, id, ',');) {
+    const auto b = id.find_first_not_of(" \t");
+    const auto e = id.find_last_not_of(" \t");
+    if (b != std::string::npos && id.compare(b, e - b + 1, pass) == 0) return true;
+  }
+  return false;
+}
 
 // -------------------------------------------------------- pass: lock-order --
 //
@@ -118,8 +142,6 @@ struct LockEdge {
 
 struct LockScan {
   std::map<std::string, std::vector<LockEdge>> edges;  // from → outgoing
-  std::set<std::string> locks;
-  std::size_t sites = 0;
 };
 
 void scan_locks(const Input& in, LockScan* scan) {
@@ -245,8 +267,6 @@ void scan_locks(const Input& in, LockScan* scan) {
       // Free-function locks keep the bare expression so the same global
       // mutex unifies across translation units.
       const std::string lock = owner.empty() ? expr : owner + "::" + expr;
-      scan->locks.insert(lock);
-      ++scan->sites;
       // Held locks: every lock declared in this function body and its
       // nested blocks — collect outward, stopping at the first barrier
       // (whose own locks still count: a lock taken directly in a lambda
@@ -267,14 +287,13 @@ void scan_locks(const Input& in, LockScan* scan) {
   }
 }
 
-void pass_lock_order(const std::vector<Input>& inputs, std::vector<Finding>* findings) {
+void pass_lock_order(const std::vector<Input>& inputs, Sink& sink) {
   LockScan scan;
   for (const Input& in : inputs)
     if (in.cxx) scan_locks(in, &scan);
 
   // Cycle detection: iterative DFS with tricolor marking; every back edge
   // closes a distinct elementary cycle through the current stack.
-  Sink sink{findings, kLockOrder};
   std::map<std::string, int> color;  // 0 white, 1 grey, 2 black
   std::vector<std::string> path;
   std::set<std::string> reported;
@@ -290,13 +309,11 @@ void pass_lock_order(const std::vector<Input>& inputs, std::vector<Finding>* fin
           auto start = std::find(path.begin(), path.end(), e.to);
           std::vector<std::string> cycle(start, path.end());
           // Canonical rotation: smallest lock first, so each cycle is
-          // reported (and suppressible) exactly once.
+          // reported exactly once.
           auto min_it = std::min_element(cycle.begin(), cycle.end());
           std::rotate(cycle.begin(), min_it, cycle.end());
-          std::string key = "cycle:";
+          std::string key;
           for (const std::string& n : cycle) key += n + "->";
-          key += cycle.front();
-          std::replace(key.begin(), key.end(), ' ', '_');
           if (reported.insert(key).second) {
             std::ostringstream msg;
             msg << "lock-order cycle (potential deadlock): ";
@@ -312,7 +329,7 @@ void pass_lock_order(const std::vector<Input>& inputs, std::vector<Finding>* fin
                   break;
                 }
             }
-            sink.emit(e.file, e.line, std::move(key), msg.str());
+            sink.emit(e.file, e.line, msg.str());
           }
         } else if (color[e.to] == 0) {
           dfs(e.to);
@@ -349,7 +366,7 @@ bool kind_shaped(const std::string& s) {
   return true;
 }
 
-void pass_protocol(const std::vector<Input>& inputs, std::vector<Finding>* findings) {
+void pass_protocol(const std::vector<Input>& inputs, Sink& sink) {
   std::map<std::string, KindSite> constructed;          // kind → first site
   std::map<std::string, KindSite> handled;              // router/loadgen compares
   const Input* protocol_hpp = nullptr;
@@ -395,16 +412,15 @@ void pass_protocol(const std::vector<Input>& inputs, std::vector<Finding>* findi
   }
 
   if (constructed.empty()) return;  // no serve sources among the inputs
-  Sink sink{findings, kProtocol};
 
   for (const auto& [kind, site] : constructed) {
     if (protocol_hpp && !boundary_contains(protocol_hpp->content, kind))
-      sink.emit(site.file, site.line, "kind:" + kind + ":taxonomy",
+      sink.emit(site.file, site.line,
                 "error kind \"" + kind +
                     "\" is constructed here but missing from the protocol.hpp "
                     "taxonomy comment");
     if (docs && !boundary_contains(docs->content, kind))
-      sink.emit(site.file, site.line, "kind:" + kind + ":docs",
+      sink.emit(site.file, site.line,
                 "error kind \"" + kind + "\" is constructed here but undocumented in " +
                     docs->path);
     bool in_tests = false;
@@ -417,7 +433,7 @@ void pass_protocol(const std::vector<Input>& inputs, std::vector<Finding>* findi
       if (in_tests) break;
     }
     if (!tests.empty() && !in_tests)
-      sink.emit(site.file, site.line, "kind:" + kind + ":tests",
+      sink.emit(site.file, site.line,
                 "error kind \"" + kind +
                     "\" is constructed here but never exercised (no string literal "
                     "mentions it in test_serve.cpp / test_router.cpp)");
@@ -425,7 +441,7 @@ void pass_protocol(const std::vector<Input>& inputs, std::vector<Finding>* findi
 
   for (const auto& [kind, site] : handled)
     if (!constructed.count(kind))
-      sink.emit(site.file, site.line, "kind:" + kind + ":phantom",
+      sink.emit(site.file, site.line,
                 "handler compares against error kind \"" + kind +
                     "\" which no serve source ever constructs (typo?)");
 
@@ -434,7 +450,7 @@ void pass_protocol(const std::vector<Input>& inputs, std::vector<Finding>* findi
   // stale-ring heal path even though every unit keeps passing.
   if (constructed.count("redirect") && !handled.empty() && !handled.count("redirect")) {
     const KindSite& site = constructed.at("redirect");
-    sink.emit(site.file, site.line, "kind:redirect:unhandled",
+    sink.emit(site.file, site.line,
               "\"redirect\" errors are constructed but the router/loadgen handling "
               "code never compares against the kind");
   }
@@ -459,7 +475,7 @@ struct MetricSite {
 
 bool metric_shaped(const std::string& s) {
   if (s.empty() || !(s.front() >= 'a' && s.front() <= 'z')) return false;
-  bool dot = false, seg_empty = false;
+  bool dot = false;
   char prev = '\0';
   for (char c : s) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '.';
@@ -470,7 +486,6 @@ bool metric_shaped(const std::string& s) {
     }
     prev = c;
   }
-  (void)seg_empty;
   return dot && prev != '.';
 }
 
@@ -508,8 +523,7 @@ std::vector<std::string> dotted_candidates(const std::string& text) {
   return out;
 }
 
-void pass_metrics(const std::vector<Input>& inputs, std::vector<Finding>* findings) {
-  Sink sink{findings, kMetrics};
+void pass_metrics(const std::vector<Input>& inputs, Sink& sink) {
   std::map<std::string, std::vector<MetricSite>> writes;  // src/ write sites
   std::map<std::string, MetricSite> reads;                // any .value() read
   std::vector<std::pair<std::string, MetricSite>> refs;   // free-text references
@@ -534,7 +548,7 @@ void pass_metrics(const std::vector<Input>& inputs, std::vector<Finding>* findin
       registry_literal.insert(i + 2);
       const MetricSite site{in.path, t[i + 2].line};
       if (!metric_shaped(name)) {
-        sink.emit(site.file, site.line, "name:" + name + ":format",
+        sink.emit(site.file, site.line,
                   "metric name \"" + name +
                       "\" is not dotted lowercase (subsystem.counter_name)");
         continue;
@@ -568,8 +582,7 @@ void pass_metrics(const std::vector<Input>& inputs, std::vector<Finding>* findin
       msg << "metric \"" << name << "\" is written from " << files.size()
           << " files (one subsystem must own each counter):";
       for (const std::string& f : files) msg << " " << f << ";";
-      sink.emit(sites.front().file, sites.front().line, "name:" + name + ":multi-owner",
-                msg.str());
+      sink.emit(sites.front().file, sites.front().line, msg.str());
     }
   }
 
@@ -582,7 +595,7 @@ void pass_metrics(const std::vector<Input>& inputs, std::vector<Finding>* findin
         continue;
       if (edit_distance(names[a], names[b]) <= 1) {
         const MetricSite& site = writes[names[b]].front();
-        sink.emit(site.file, site.line, "near-miss:" + names[a] + "~" + names[b],
+        sink.emit(site.file, site.line,
                   "metric names \"" + names[a] + "\" and \"" + names[b] +
                       "\" differ by one edit — almost certainly a typo");
       }
@@ -593,7 +606,7 @@ void pass_metrics(const std::vector<Input>& inputs, std::vector<Finding>* findin
     const std::string subsystem = name.substr(0, name.find('.'));
     if (!subsystems.count(subsystem)) return;  // not a registry namespace
     if (writes.count(name)) return;
-    sink.emit(site.file, site.line, "name:" + name + ":undefined",
+    sink.emit(site.file, site.line,
               "\"" + name + "\" looks like a " + subsystem +
                   ".* metric but no src/ file defines it — reads of it are "
                   "silently zero");
@@ -609,7 +622,7 @@ void pass_metrics(const std::vector<Input>& inputs, std::vector<Finding>* findin
 // Include-graph construction over every scanned C++ file. Quoted include
 // paths resolve either into src/ modules ("core/sweep.hpp" → module
 // `core`) or, when they carry no directory, into the includer's own
-// directory ("lint.hpp" in tools/). Two checks: the architecture rule
+// directory ("lexer.hpp" in tools/). Two checks: the architecture rule
 // table (util is the bottom layer and includes only util; sim never
 // includes core/serve/advise; core never serve/advise; advise never
 // serve — the advisor must stay servable *through* serve without linking
@@ -643,8 +656,7 @@ std::string module_of(const std::string& norm) {
   return p.substr(0, p.find('/'));  // tools/bench/tests/examples/...
 }
 
-void pass_layering(const std::vector<Input>& inputs, std::vector<Finding>* findings) {
-  Sink sink{findings, kLayering};
+void pass_layering(const std::vector<Input>& inputs, Sink& sink) {
   std::set<std::string> known_files;
   for (const Input& in : inputs)
     if (in.cxx) known_files.insert(in.path);
@@ -676,7 +688,7 @@ void pass_layering(const std::vector<Input>& inputs, std::vector<Finding>* findi
       }
       auto fit = forbidden_edges().find(from_module);
       if (fit != forbidden_edges().end() && fit->second.count(to_module))
-        sink.emit(in.path, inc.line, "include:" + in.path + "->" + to_module,
+        sink.emit(in.path, inc.line,
                   "layering violation: " + from_module + "/ must not include " +
                       to_module + "/ (\"" + inc.path + "\")");
       if (known_files.count(target))
@@ -699,15 +711,14 @@ void pass_layering(const std::vector<Input>& inputs, std::vector<Finding>* findi
           std::vector<std::string> cycle(start, path.end());
           auto min_it = std::min_element(cycle.begin(), cycle.end());
           std::rotate(cycle.begin(), min_it, cycle.end());
-          std::string key = "cycle:";
+          std::string key;
           for (const std::string& n : cycle) key += n + "->";
-          key += cycle.front();
           if (reported.insert(key).second) {
             std::ostringstream msg;
             msg << "include cycle: ";
             for (const std::string& n : cycle) msg << n << " -> ";
             msg << cycle.front();
-            sink.emit(node, line, std::move(key), msg.str());
+            sink.emit(node, line, msg.str());
           }
         } else if (color[to] == 0) {
           dfs(to);
@@ -721,50 +732,289 @@ void pass_layering(const std::vector<Input>& inputs, std::vector<Finding>* findi
     if (color[node] == 0) dfs(node);
 }
 
-// ---------------------------------------------------------------- baseline --
+// --------------------------------------------------------- per-file rules --
+//
+// Six line-oriented rules over one C++ file's classified lines (code with
+// literals collapsed, string contents, line-comment text — lexer.hpp).
+// Each has a path scope; scoping is by path substring, e.g. "util/rng."
+// exempts the RNG implementation. Non-C++ inputs are never linted.
 
-struct Baseline {
-  // (pass, key) → matched?  Order preserved for stale reporting.
-  std::vector<std::tuple<std::string, std::string, bool>> entries;
+bool is_ident(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
 
-  static Baseline parse(const std::string& text) {
-    Baseline b;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-      const std::size_t hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      std::istringstream ls(line);
-      std::string pass, key;
-      if (ls >> pass >> key) b.entries.emplace_back(pass, key, false);
+bool path_has(const std::string& norm, const char* frag) {
+  return norm.find(frag) != std::string::npos;
+}
+
+bool in_tree(const std::string& norm, const char* tree) {  // tree = "src"
+  const std::string t = std::string(tree) + "/";
+  return norm.rfind(t, 0) == 0 || norm.find("/" + t) != std::string::npos;
+}
+
+/// True when code[pos..] spells `name` as a standalone token (non-ident
+/// characters, or string boundaries, on both sides).
+bool token_at(const std::string& code, std::size_t pos, const std::string& name) {
+  if (pos > 0 && (is_ident(code[pos - 1]) || code[pos - 1] == ':')) return false;
+  const std::size_t after = pos + name.size();
+  return after >= code.size() || !is_ident(code[after]);
+}
+
+/// True when code[pos..] is a call of free function `name`: bare, `::`- or
+/// `std::`-qualified, but not a member (`.name(` / `->name(`) and not part
+/// of a longer identifier (`wall_time(`, `time_since_epoch`).
+bool free_call_at(const std::string& code, std::size_t pos, const std::string& name) {
+  std::size_t after = pos + name.size();
+  while (after < code.size() && (code[after] == ' ' || code[after] == '\t')) ++after;
+  if (after >= code.size() || code[after] != '(') return false;
+  if (pos == 0) return true;
+  if (is_ident(code[pos - 1]) || code[pos - 1] == '.' || code[pos - 1] == '>') return false;
+  if (code[pos - 1] != ':') return true;  // bare call after an operator/space
+  // Qualified: allow only the global (`::time`) or `std::` spellings; a
+  // `foo::time(...)` from some other namespace is somebody else's function.
+  if (pos < 2 || code[pos - 2] != ':') return false;
+  if (pos == 2) return true;  // line starts with ::name
+  const std::size_t q = pos - 2;
+  if (q >= 3 && code.compare(q - 3, 3, "std") == 0 &&
+      (q == 3 || !is_ident(code[q - 4])))
+    return true;
+  return !is_ident(code[q - 1]) && code[q - 1] != ':';
+}
+
+std::vector<std::size_t> find_all(const std::string& hay, const std::string& needle) {
+  std::vector<std::size_t> out;
+  for (std::size_t p = hay.find(needle); p != std::string::npos;
+       p = hay.find(needle, p + 1))
+    out.push_back(p);
+  return out;
+}
+
+/// Matches a printf floating conversion (%f/%e/%g with optional flags,
+/// width, precision, length) in string-literal text. `%a` stays legal: it
+/// is the canonical bit-exact serialization this rule funnels code toward.
+bool has_float_conversion(const std::string& text) {
+  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+    if (text[i] != '%') continue;
+    if (text[i + 1] == '%') {
+      ++i;
+      continue;
     }
-    return b;
+    std::size_t j = i + 1;
+    while (j < text.size() &&
+           (std::isdigit(static_cast<unsigned char>(text[j])) != 0 ||
+            text[j] == '-' || text[j] == '+' || text[j] == ' ' || text[j] == '#' ||
+            text[j] == '.' || text[j] == '*' || text[j] == 'l' || text[j] == 'h' ||
+            text[j] == 'L'))
+      ++j;
+    if (j < text.size() && (text[j] == 'f' || text[j] == 'F' || text[j] == 'e' ||
+                            text[j] == 'E' || text[j] == 'g' || text[j] == 'G'))
+      return true;
   }
+  return false;
+}
 
-  bool match(const Finding& f) {
-    for (auto& [pass, key, used] : entries)
-      if (pass == f.pass && key == f.key) {
-        used = true;
-        return true;
-      }
-    return false;
+void rule_rng(const Input& in, Sink& sink) {
+  if (path_has(in.path, "util/rng.")) return;
+  const std::vector<lex::Line>& lines = in.lx.lines;
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    const std::string& code = lines[li].code;
+    for (const char* fn : {"rand", "srand", "time"})
+      for (std::size_t p : find_all(code, fn))
+        if (free_call_at(code, p, fn))
+          sink.emit(in.path, li + 1,
+                    std::string(fn) + "() is nondeterministic; use the seeded "
+                                      "generators in util/rng");
+    for (std::size_t p : find_all(code, "random_device"))
+      if (token_at(code, p, "random_device") ||
+          (p >= 5 && code.compare(p - 5, 5, "std::") == 0))
+        sink.emit(in.path, li + 1,
+                  "std::random_device is nondeterministic; use the seeded "
+                  "generators in util/rng");
   }
+}
+
+void rule_thread(const Input& in, Sink& sink) {
+  if (path_has(in.path, "util/thread_pool.") || path_has(in.path, "src/serve/")) return;
+  const std::vector<lex::Line>& lines = in.lx.lines;
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    const std::string& code = lines[li].code;
+    for (const char* tok : {"std::thread", "std::jthread"})
+      for (std::size_t p : find_all(code, tok)) {
+        const std::size_t after = p + std::string(tok).size();
+        if (after < code.size() && (is_ident(code[after]) || code[after] == ':'))
+          continue;  // std::thread::hardware_concurrency etc.
+        if (p > 0 && is_ident(code[p - 1])) continue;
+        sink.emit(in.path, li + 1,
+                  std::string(tok) + " outside util/thread_pool and src/serve; "
+                                     "route work through util::ThreadPool");
+      }
+  }
+}
+
+void rule_float_print(const Input& in, Sink& sink) {
+  const std::string& p = in.path;
+  if (!(path_has(p, "core/sweep.") || path_has(p, "core/experiment.") ||
+        path_has(p, "core/result_cache.") || path_has(p, "serve/protocol.") ||
+        path_has(p, "advise/advise.")))
+    return;
+  const std::vector<lex::Line>& lines = in.lx.lines;
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    const lex::Line& line = lines[li];
+    if (has_float_conversion(line.strings))
+      sink.emit(in.path, li + 1,
+                "decimal float conversion in a serialization path; use "
+                "util::hexf / util::append_hexf (util/format.hpp)");
+    for (std::size_t pos : find_all(line.code, "std::to_string"))
+      if (token_at(line.code, pos, "std::to_string"))
+        sink.emit(in.path, li + 1,
+                  "std::to_string in a serialization path; floats must go "
+                  "through util::hexf (util/format.hpp)");
+  }
+}
+
+void rule_guarded_mutex(const Input& in, Sink& sink) {
+  if (!in_tree(in.path, "src")) return;
+  if (path_has(in.path, "util/mutex.hpp") || path_has(in.path, "util/thread_safety.hpp"))
+    return;
+
+  struct Block {
+    bool class_like = false;
+    bool has_guard = false;
+    std::vector<std::pair<std::size_t, std::string>> mutexes;  // line, type
+  };
+  std::vector<Block> stack;
+  std::string prefix;  // statement text since the last ';' '{' '}'
+
+  auto close_block = [&] {
+    if (stack.empty()) return;
+    Block b = std::move(stack.back());
+    stack.pop_back();
+    if (b.class_like && !b.has_guard)
+      for (const auto& [line, type] : b.mutexes)
+        sink.emit(in.path, line + 1,
+                  type + " member in a class with no OPM_GUARDED_BY field; "
+                         "annotate what it protects (util/thread_safety.hpp)");
+  };
+
+  const std::vector<lex::Line>& lines = in.lx.lines;
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    const std::string& code = lines[li].code;
+    if (code.find("OPM_GUARDED_BY") != std::string::npos ||
+        code.find("OPM_PT_GUARDED_BY") != std::string::npos)
+      if (!stack.empty()) stack.back().has_guard = true;
+
+    if (!stack.empty() && stack.back().class_like) {
+      for (const char* type : {"std::mutex", "std::recursive_mutex",
+                               "std::shared_mutex", "std::timed_mutex",
+                               "util::Mutex", "Mutex"}) {
+        for (std::size_t p : find_all(code, type)) {
+          if (p > 0 && (is_ident(code[p - 1]) || code[p - 1] == ':')) continue;
+          std::size_t j = p + std::string(type).size();
+          if (j >= code.size() || (code[j] != ' ' && code[j] != '\t')) continue;
+          while (j < code.size() && (code[j] == ' ' || code[j] == '\t')) ++j;
+          std::size_t ident = 0;
+          while (j < code.size() && is_ident(code[j])) ++j, ++ident;
+          while (j < code.size() && (code[j] == ' ' || code[j] == '\t')) ++j;
+          if (ident > 0 && j < code.size() && code[j] == ';')
+            stack.back().mutexes.emplace_back(li, type);
+        }
+        if (!stack.back().mutexes.empty() && stack.back().mutexes.back().first == li)
+          break;  // one hit per line is enough (avoids Mutex-inside-util::Mutex)
+      }
+    }
+
+    for (char c : code) {
+      if (c == '{') {
+        Block b;
+        for (const char* kw : {"struct", "class", "union"})
+          for (std::size_t p : find_all(prefix, kw))
+            if (token_at(prefix, p, kw)) b.class_like = true;
+        stack.push_back(b);
+        prefix.clear();
+      } else if (c == '}') {
+        close_block();
+        prefix.clear();
+      } else if (c == ';') {
+        prefix.clear();
+      } else {
+        prefix.push_back(c);
+      }
+    }
+    prefix.push_back(' ');  // newlines separate tokens
+  }
+  while (!stack.empty()) close_block();  // unbalanced file: flush anyway
+}
+
+void rule_pragma_once(const Input& in, Sink& sink) {
+  if (!(in.path.ends_with(".hpp") || in.path.ends_with(".h"))) return;
+  for (const lex::Line& line : in.lx.lines) {
+    const std::size_t p = line.raw.find("#pragma");
+    if (p != std::string::npos && line.raw.find("once", p) != std::string::npos)
+      return;
+  }
+  sink.emit(in.path, 1, "header is missing #pragma once");
+}
+
+void rule_no_endl(const Input& in, Sink& sink) {
+  if (!in_tree(in.path, "src")) return;
+  const std::vector<lex::Line>& lines = in.lx.lines;
+  for (std::size_t li = 0; li < lines.size(); ++li)
+    for (std::size_t p : find_all(lines[li].code, "std::endl"))
+      if (token_at(lines[li].code, p, "std::endl"))
+        sink.emit(in.path, li + 1,
+                  "std::endl flushes on every call; write \"\\n\" in hot paths");
+}
+
+/// Lifts a per-file rule to a pass over every C++ input.
+template <void (*Rule)(const Input&, Sink&)>
+void per_file(const std::vector<Input>& inputs, Sink& sink) {
+  for (const Input& in : inputs)
+    if (in.cxx) Rule(in, sink);
+}
+
+// ------------------------------------------------------------- pass table --
+
+struct Pass {
+  PassInfo info;
+  void (*run)(const std::vector<Input>&, Sink&);
 };
 
-}  // namespace
-
-const std::vector<PassInfo>& passes() {
-  static const std::vector<PassInfo> table = {
-      {kLockOrder, "global lock-order graph over util::MutexLock scopes; fails on cycles"},
-      {kProtocol, "serve error-kind taxonomy exhaustive across protocol.hpp, docs, tests, router"},
-      {kMetrics, "dotted counter names: one owner, no near-miss typos, all references defined"},
-      {kLayering, "include-graph cycles + architecture rules (util ⊄ core/sim/serve/advise, ...)"},
+const std::vector<Pass>& pass_table() {
+  static const std::vector<Pass> table = {
+      {{kLockOrder, "global lock-order graph over util::MutexLock scopes; fails on cycles"},
+       pass_lock_order},
+      {{kProtocol, "serve error-kind taxonomy exhaustive across protocol.hpp, docs, tests, router"},
+       pass_protocol},
+      {{kMetrics, "dotted counter names: one owner, no near-miss typos, all references defined"},
+       pass_metrics},
+      {{kLayering, "include-graph cycles + architecture rules (util ⊄ core/sim/serve/advise, ...)"},
+       pass_layering},
+      {{kRng, "rand()/srand()/time()/std::random_device outside util/rng"},
+       per_file<rule_rng>},
+      {{kThread, "raw std::thread outside util/thread_pool and src/serve"},
+       per_file<rule_thread>},
+      {{kFloatPrint, "%f-style or std::to_string output in canonical serialization paths"},
+       per_file<rule_float_print>},
+      {{kGuardedMutex, "mutex member without an OPM_GUARDED_BY field in the same class"},
+       per_file<rule_guarded_mutex>},
+      {{kPragmaOnce, "every header carries #pragma once"}, per_file<rule_pragma_once>},
+      {{kNoEndl, "std::endl in src/ hot paths"}, per_file<rule_no_endl>},
   };
   return table;
 }
 
-Report analyze_sources(const std::vector<SourceFile>& sources,
-                       const std::string& baseline, const std::string& only_pass) {
+}  // namespace
+
+const std::vector<PassInfo>& passes() {
+  static const std::vector<PassInfo> infos = [] {
+    std::vector<PassInfo> out;
+    for (const Pass& p : pass_table()) out.push_back(p.info);
+    return out;
+  }();
+  return infos;
+}
+
+Report analyze_sources(const std::vector<SourceFile>& sources) {
   std::vector<Input> inputs;
   inputs.reserve(sources.size());
   for (const SourceFile& s : sources) {
@@ -775,56 +1025,40 @@ Report analyze_sources(const std::vector<SourceFile>& sources,
     if (in.cxx) in.lx = lex::lex(in.content);
     inputs.push_back(std::move(in));
   }
+  std::map<std::string, const Input*> by_path;
+  for (const Input& in : inputs) by_path.emplace(in.path, &in);
+
+  // The one suppression mechanism: a finding is dropped when its line's
+  // trailing comment carries `opm-lint: allow(<its pass>)`.
+  auto allowed = [&](const Finding& f) {
+    auto it = by_path.find(f.file);
+    if (it == by_path.end() || f.line == 0 || f.line > it->second->lx.lines.size())
+      return false;
+    return allows(it->second->lx.lines[f.line - 1].line_comment, f.pass);
+  };
 
   Report report;
-  using Pass = void (*)(const std::vector<Input>&, std::vector<Finding>*);
-  const std::vector<std::pair<const char*, Pass>> order = {
-      {kLockOrder, pass_lock_order},
-      {kProtocol, pass_protocol},
-      {kMetrics, pass_metrics},
-      {kLayering, pass_layering},
-  };
-  std::vector<Finding> raw;
-  for (const auto& [id, fn] : order) {
-    if (!only_pass.empty() && only_pass != id) continue;
-    const std::size_t before = raw.size();
+  for (const Pass& pass : pass_table()) {
+    std::vector<Finding> found;
+    Sink sink{&found, pass.info.id};
     const auto t0 = std::chrono::steady_clock::now();
-    fn(inputs, &raw);
+    pass.run(inputs, sink);
+    std::erase_if(found, allowed);
     const auto t1 = std::chrono::steady_clock::now();
-    report.timing.push_back(
-        PassTiming{id, std::chrono::duration<double>(t1 - t0).count(), raw.size() - before});
+    report.timing.push_back(PassTiming{pass.info.id,
+                                       std::chrono::duration<double>(t1 - t0).count(),
+                                       found.size()});
+    report.findings.insert(report.findings.end(), found.begin(), found.end());
   }
-
-  Baseline base = Baseline::parse(baseline);
-  for (Finding& f : raw) {
-    if (base.match(f))
-      ++report.suppressed;
-    else
-      report.findings.push_back(std::move(f));
-  }
-  for (const auto& [pass, key, used] : base.entries)
-    if (!used)
-      report.findings.push_back(
-          Finding{"(baseline)", 0, "baseline", "stale:" + pass + ":" + key,
-                  "baseline entry \"" + pass + " " + key +
-                      "\" matched no finding — remove it (the baseline only shrinks)"});
-
   std::sort(report.findings.begin(), report.findings.end(),
             [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.pass, a.key) <
-                     std::tie(b.file, b.line, b.pass, b.key);
+              return std::tie(a.file, a.line, a.pass, a.message) <
+                     std::tie(b.file, b.line, b.pass, b.message);
             });
-  // Recount per-pass findings post-baseline so the summary matches output.
-  for (PassTiming& t : report.timing) {
-    t.findings = 0;
-    for (const Finding& f : report.findings)
-      if (f.pass == t.pass) ++t.findings;
-  }
   return report;
 }
 
-Report analyze_paths(const std::vector<std::string>& roots,
-                     const std::string& baseline_path, const std::string& only_pass) {
+Report analyze_paths(const std::vector<std::string>& roots) {
   std::vector<SourceFile> sources;
   std::vector<Finding> io;
   std::vector<std::string> files;
@@ -840,8 +1074,7 @@ Report analyze_paths(const std::vector<std::string>& roots,
           files.push_back(it->path().generic_string());
       }
     } else {
-      io.push_back(Finding{root, 0, "io", "missing:" + root,
-                           "path is not a file or directory"});
+      io.push_back(Finding{root, 0, "io", "path is not a file or directory"});
     }
   }
   std::sort(files.begin(), files.end());
@@ -850,43 +1083,27 @@ Report analyze_paths(const std::vector<std::string>& roots,
     std::ifstream in(file, std::ios::binary);
     std::ostringstream buf;
     if (!in) {
-      io.push_back(Finding{file, 0, "io", "unreadable:" + file, "unreadable file"});
+      io.push_back(Finding{file, 0, "io", "unreadable file"});
       continue;
     }
     buf << in.rdbuf();
     sources.push_back(SourceFile{file, buf.str()});
   }
 
-  std::string baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      io.push_back(Finding{baseline_path, 0, "io", "unreadable:" + baseline_path,
-                           "cannot read the suppression baseline"});
-    } else {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      baseline = buf.str();
-    }
-  }
-
-  Report report = analyze_sources(sources, baseline, only_pass);
+  Report report = analyze_sources(sources);
   report.findings.insert(report.findings.begin(), io.begin(), io.end());
   return report;
 }
 
 int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
   std::vector<std::string> roots;
-  std::string baseline_path;
-  std::string only_pass;
-  bool json = false;
   const char* usage =
-      "usage: opm_analyze [--format=text|json] [--baseline=FILE] [--pass=ID]\n"
-      "                   [--list-passes] <path>...\n"
-      "Token-based cross-file static analysis (docs/MODEL.md §15).\n"
+      "usage: opm_analyze [--list-passes] <path>...\n"
+      "Static analysis for project invariants (docs/MODEL.md §15).\n"
       "Directories are walked for *.hpp/*.h/*.cpp/*.cc; explicitly listed\n"
       "files of any type (docs/MODEL.md, scripts/ci.sh) join as reference\n"
-      "text. Exit: 0 clean, 1 findings, 2 usage/IO error.\n";
+      "text. Exit: 0 clean, 1 findings, 2 usage/IO error.\n"
+      "Suppress one line with: // opm-lint: allow(<pass-id>[,...])\n";
 
   for (const std::string& a : args) {
     if (a == "--list-passes") {
@@ -896,30 +1113,6 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     if (a == "--help" || a == "-h") {
       err << usage;
       return 0;
-    }
-    if (a.rfind("--format=", 0) == 0) {
-      const std::string v = a.substr(9);
-      if (v == "json") json = true;
-      else if (v == "text") json = false;
-      else {
-        err << "opm_analyze: unknown format \"" << v << "\"\n" << usage;
-        return 2;
-      }
-      continue;
-    }
-    if (a.rfind("--baseline=", 0) == 0) {
-      baseline_path = a.substr(11);
-      continue;
-    }
-    if (a.rfind("--pass=", 0) == 0) {
-      only_pass = a.substr(7);
-      bool known = false;
-      for (const PassInfo& p : passes()) known = known || only_pass == p.id;
-      if (!known) {
-        err << "opm_analyze: unknown pass \"" << only_pass << "\"\n" << usage;
-        return 2;
-      }
-      continue;
     }
     if (a.rfind("--", 0) == 0) {
       err << "opm_analyze: unknown flag \"" << a << "\"\n" << usage;
@@ -932,57 +1125,23 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     return 2;
   }
 
-  const Report report = analyze_paths(roots, baseline_path, only_pass);
+  const Report report = analyze_paths(roots);
+  for (const Finding& f : report.findings)
+    out << f.file << ":" << f.line << ": [" << f.pass << "] " << f.message << "\n";
+  for (const PassTiming& t : report.timing) {
+    char ms[32];
+    std::snprintf(ms, sizeof ms, "%.1f", t.seconds * 1e3);
+    out << "opm_analyze: pass " << t.pass << ": " << t.findings << " finding(s) in " << ms
+        << " ms\n";
+  }
+  if (report.findings.empty()) {
+    out << "opm_analyze: clean\n";
+    return 0;
+  }
+  out << "opm_analyze: " << report.findings.size() << " finding(s)\n";
   const bool io_error = std::any_of(report.findings.begin(), report.findings.end(),
                                     [](const Finding& f) { return f.pass == "io"; });
-
-  if (json) {
-    auto esc = [](const std::string& s) {
-      std::string o;
-      for (char c : s) {
-        if (c == '"' || c == '\\') o += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          o += buf;
-          continue;
-        }
-        o += c;
-      }
-      return o;
-    };
-    out << "{\"findings\":[";
-    for (std::size_t i = 0; i < report.findings.size(); ++i) {
-      const Finding& f = report.findings[i];
-      out << (i ? "," : "") << "{\"file\":\"" << esc(f.file) << "\",\"line\":" << f.line
-          << ",\"pass\":\"" << esc(f.pass) << "\",\"key\":\"" << esc(f.key)
-          << "\",\"message\":\"" << esc(f.message) << "\"}";
-    }
-    out << "],\"suppressed\":" << report.suppressed << ",\"passes\":[";
-    for (std::size_t i = 0; i < report.timing.size(); ++i) {
-      const PassTiming& t = report.timing[i];
-      out << (i ? "," : "") << "{\"pass\":\"" << esc(t.pass)
-          << "\",\"ms\":" << static_cast<long long>(t.seconds * 1e6) / 1000.0
-          << ",\"findings\":" << t.findings << "}";
-    }
-    out << "]}\n";
-  } else {
-    for (const Finding& f : report.findings)
-      out << f.file << ":" << f.line << ": [" << f.pass << "] " << f.message << "\n";
-    for (const PassTiming& t : report.timing) {
-      char ms[32];
-      std::snprintf(ms, sizeof ms, "%.1f", t.seconds * 1e3);
-      out << "opm_analyze: pass " << t.pass << ": " << t.findings << " finding(s) in "
-          << ms << " ms\n";
-    }
-    if (report.findings.empty())
-      out << "opm_analyze: clean (" << report.suppressed << " suppressed by baseline)\n";
-    else
-      out << "opm_analyze: " << report.findings.size() << " finding(s), "
-          << report.suppressed << " suppressed by baseline\n";
-  }
-  if (io_error) return 2;
-  return report.findings.empty() ? 0 : 1;
+  return io_error ? 2 : 1;
 }
 
 }  // namespace opm::analyze

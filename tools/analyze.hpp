@@ -5,18 +5,16 @@
 #include <string>
 #include <vector>
 
-/// opm_analyze — token-based cross-file static analysis (docs/MODEL.md §15).
+/// opm_analyze — the project's one static-analysis tool (docs/MODEL.md §15).
 ///
-/// opm_lint (tools/lint.*) checks per-line invariants inside one file.
-/// The invariants that every PR since 1 has been adding *by convention*
-/// are cross-file: lock acquisition order spans translation units, the
-/// serve error-kind taxonomy spans protocol code, docs, and tests, dotted
-/// metric names span src/ producers and bench/ci consumers, and the
-/// util → {sim,dense,sparse,kernels,trace} → core → {serve,advise}
-/// layering spans the whole include graph. opm_analyze makes those
-/// mechanical: it lexes every source with the shared tokenizer
-/// (tools/lexer.*) and runs four semantic passes over the combined
-/// token streams:
+/// The repo's determinism and concurrency disciplines are mostly social
+/// contracts ("seeded RNG only", "canonical %a serialization", "every
+/// mutex-protected field is annotated", "util stays at the bottom").
+/// opm_analyze makes them mechanical: it lexes every source with the
+/// shared tokenizer (tools/lexer.*), needs no compiler, and runs in
+/// milliseconds — so it sits *before* the sanitizer build matrix and
+/// fails fast. Ten passes, by stable ID; the first four are cross-file,
+/// the last six check one C++ file at a time:
 ///
 ///   lock-order   harvest util::MutexLock acquisition scopes across all
 ///                annotated files, build the global lock-order graph
@@ -42,21 +40,33 @@
 ///                (util includes only util; sim never core/serve/advise;
 ///                core never serve/advise; advise never serve; src never
 ///                bench/tests/tools/examples)
+///   rng          rand()/srand()/std::random_device/time() outside
+///                util/rng — results must come from seeded generators
+///   thread-ownership  raw std::thread/std::jthread outside
+///                util/thread_pool and src/serve
+///   float-print  %f/%e/%g conversions or std::to_string in canonical
+///                serialization paths (must use util::hexf, the one
+///                %a formatter)
+///   guarded-mutex  a class declaring a mutex member with no
+///                OPM_GUARDED_BY field in the same class
+///   pragma-once  every header starts its life with #pragma once
+///   no-endl      std::endl in src/ hot paths (use "\n")
 ///
-/// Findings carry a stable (pass, key) identity; a checked-in suppression
-/// baseline (one "pass key" pair per line, '#' comments) grandfathers
-/// documented edges without hiding new ones — a baseline entry that
-/// matches nothing is itself a finding, so the file can only shrink.
+/// One suppression mechanism, for every pass: a finding is dropped when
+/// the trailing line comment of its line names the pass,
+///
+///     do_risky_thing();  // opm-lint: allow(pass-id[,pass-id...]) — why
+///
+/// A marker spelled inside a string literal or a block comment is data.
 ///
 /// Exit contract (same as opm_benchdiff): 0 clean, 1 findings, 2
 /// usage/IO error.
 namespace opm::analyze {
 
 struct Finding {
-  std::string file;     ///< path as scanned (repo-root-relative)
+  std::string file;     ///< path as scanned
   std::size_t line;     ///< 1-based; 0 = whole-file / cross-file
-  std::string pass;     ///< "lock-order" | "protocol" | "metrics" | "layering" | "baseline" | "io"
-  std::string key;      ///< stable suppression key (no whitespace)
+  std::string pass;     ///< a passes() ID, or "io"
   std::string message;
 
   bool operator==(const Finding&) const = default;
@@ -71,8 +81,9 @@ struct PassInfo {
 const std::vector<PassInfo>& passes();
 
 /// One input file. Non-C++ paths (docs/MODEL.md, scripts/ci.sh) take part
-/// as reference text: the protocol pass looks kinds up in MODEL.md, the
-/// metrics pass scans ci.sh for dotted counter names.
+/// as reference text only: the protocol pass looks kinds up in MODEL.md,
+/// the metrics pass scans ci.sh for dotted counter names, and no per-file
+/// rule lints them.
 struct SourceFile {
   std::string path;
   std::string content;
@@ -86,32 +97,22 @@ struct PassTiming {
 };
 
 struct Report {
-  std::vector<Finding> findings;    ///< after baseline subtraction, sorted
-  std::size_t suppressed = 0;       ///< findings a baseline entry absorbed
-  std::vector<PassTiming> timing;   ///< one entry per executed pass
+  std::vector<Finding> findings;    ///< after allow() markers, sorted
+  std::vector<PassTiming> timing;   ///< one entry per pass
 };
 
-/// Runs every pass over in-memory sources. `baseline` is the suppression
-/// file content ("" = empty baseline). `only_pass` restricts execution to
-/// one pass id ("" = all). Stale baseline entries surface as "baseline"
-/// findings.
-Report analyze_sources(const std::vector<SourceFile>& sources,
-                       const std::string& baseline = {},
-                       const std::string& only_pass = {});
+/// Runs every pass over in-memory sources.
+Report analyze_sources(const std::vector<SourceFile>& sources);
 
 /// Loads *.hpp/*.h/*.cpp/*.cc under the roots (files or directories,
 /// sorted for determinism) plus any explicitly-listed non-C++ files, then
 /// analyzes. Unreadable paths produce "io" findings.
-Report analyze_paths(const std::vector<std::string>& roots,
-                     const std::string& baseline_path = {},
-                     const std::string& only_pass = {});
+Report analyze_paths(const std::vector<std::string>& roots);
 
 /// CLI entry point (main() is a one-liner around this):
-///   opm_analyze [--format=text|json] [--baseline=FILE] [--pass=ID]
-///               [--list-passes] <path>...
-/// Text mode prints file:line: [pass] message lines, per-pass timing, and
-/// a summary; JSON mode prints one machine-readable object.
-/// Exit: 0 clean, 1 findings, 2 usage/IO error.
+///   opm_analyze [--list-passes] <path>...
+/// Prints file:line: [pass] message lines, per-pass timing, and a
+/// summary. Exit: 0 clean, 1 findings, 2 usage/IO error.
 int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
 
 }  // namespace opm::analyze

@@ -4,16 +4,15 @@
 #include <string>
 #include <vector>
 
-/// The shared C++ lexer behind the static-analysis tools (tools/lint.*,
-/// tools/analyze.*).
+/// The C++ lexer behind opm_analyze (tools/analyze.*, docs/MODEL.md §15).
 ///
-/// PR 4's opm_lint carried a private per-line classifier; opm_analyze
-/// (docs/MODEL.md §15) needs a real token stream to follow lock scopes,
-/// harvest string literals, and build include graphs across files. Both
-/// now share this lexer, so "what is a comment", "what is a string", and
-/// "where does a raw literal end" have exactly one answer in the repo —
-/// and suppression markers inside string literals or block comments can
-/// no longer masquerade as real `// opm-lint: allow(...)` hatches.
+/// The cross-file passes need a real token stream to follow lock scopes,
+/// harvest string literals, and build include graphs; the per-file rules
+/// need per-line classified text. Both come from this one scan, so "what
+/// is a comment", "what is a string", and "where does a raw literal end"
+/// have exactly one answer in the repo — and suppression markers inside
+/// string literals or block comments can never masquerade as real
+/// `// opm-lint: allow(...)` markers.
 ///
 /// This is a lexer, not a preprocessor or parser: no macro expansion, no
 /// trigraphs, no line splicing outside string literals. It understands
@@ -30,7 +29,7 @@
 ///     the semantic passes of opm_analyze consume;
 ///   * per-line classified text (code with literals collapsed, the
 ///     string contents, the line-comment text, the raw line) — what the
-///     line-oriented lint rules consume.
+///     per-file rules and the allow() marker consume.
 namespace opm::lex {
 
 enum class TokenKind {
