@@ -257,7 +257,7 @@ void print_sweep_stats(const std::string& label) {
   std::cout << "\ncsv:" << label << "_sweep_stats\n";
   core::write_sweep_stats_csv(std::cout, stats);
   for (const auto& s : stats) std::cout << "json:" << core::sweep_stats_json(s) << "\n";
-  if (core::ResultCache::instance().enabled())
+  if (core::result_cache_config().enabled)
     std::cout << "json:" << core::cache_totals_json() << "\n";
 }
 

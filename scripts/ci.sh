@@ -27,10 +27,15 @@
 # cache DISABLED (OPM_NO_CACHE=1): a cache hit would short-circuit the
 # compute path the sanitizers exist to instrument.
 #
-# The cache job builds the plain tree, then runs the Table 4/5 summaries
-# twice against a scratch cache dir — once cold, once warm — with
-# telemetry muted, and diffs the outputs byte for byte. Warm results that
-# differ in any byte fail CI.
+# The cache job builds the plain tree, then asks `opm_advise --json` the
+# same question twice against one fresh scratch cache dir — once cold,
+# then from a new process warm from the .opmrec disk tier (the record's
+# inode must survive, i.e. it was read, not recomputed and re-stored) —
+# and diffs the outputs byte for byte. Warm output that differs in any
+# byte fails CI. It then runs cache_effectiveness on both cached layers
+# (serve sweep payloads and advise payloads). The sweeps themselves are
+# not cached, so a cold-vs-warm diff of the table harnesses would prove
+# nothing.
 #
 # The serve job exercises the serve tier end to end: the self-contained
 # serve_loadgen gates (byte-identity vs offline, >= 4x request
@@ -179,24 +184,33 @@ run_cache() {
   echo "== [cache] configure & build ($dir)"
   cmake -B "$root/$dir" -G Ninja -S "$root" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  cmake --build "$root/$dir" --target table4_edram_summary table5_mcdram_summary \
-        cache_effectiveness
+  cmake --build "$root/$dir" --target opm_advise_cli cache_effectiveness
   local scratch="$root/$dir/ci-cache-scratch"
   rm -rf "$scratch"
-  echo "== [cache] cold vs warm byte-for-byte diff (telemetry muted)"
-  for b in table4_edram_summary table5_mcdram_summary; do
-    "$root/$dir/bench/$b" --cache-dir="$scratch" --no-sweep-stats \
-        > "$root/$dir/$b.cold.out"
-    "$root/$dir/bench/$b" --cache-dir="$scratch" --no-sweep-stats \
-        > "$root/$dir/$b.warm.out"
-    if ! cmp "$root/$dir/$b.cold.out" "$root/$dir/$b.warm.out"; then
-      echo "ci: FAIL — $b warm output differs from cold output" >&2
-      exit 1
-    fi
-    echo "   $b: cold == warm"
-  done
-  echo "== [cache] effectiveness gate (>= 10x disk-warm speedup, bit-identical)"
-  "$root/$dir/bench/cache_effectiveness" --cache-dir="$scratch"
+  echo "== [cache] advise payload: cold vs disk-warm byte-for-byte diff"
+  local advise=("$root/$dir/tools/opm_advise" --kernel spmv --platform knl-ddr --json
+                --cache-dir="$scratch" --no-sweep-stats)
+  "${advise[@]}" > "$root/$dir/advise.cold.out"
+  local records=("$scratch"/*.opmrec)
+  if [ "${#records[@]}" -ne 1 ] || [ ! -f "${records[0]}" ]; then
+    echo "ci: FAIL — the cold advise run did not leave exactly one .opmrec record" >&2
+    exit 1
+  fi
+  local inode
+  inode=$(stat -c %i "${records[0]}")
+  "${advise[@]}" > "$root/$dir/advise.warm.out"
+  if ! cmp "$root/$dir/advise.cold.out" "$root/$dir/advise.warm.out"; then
+    echo "ci: FAIL — disk-warm advise output differs from cold output" >&2
+    exit 1
+  fi
+  if [ "$(stat -c %i "${records[0]}")" != "$inode" ]; then
+    echo "ci: FAIL — the warm advise run re-stored its record instead of reading it" >&2
+    exit 1
+  fi
+  echo "   opm_advise spmv knl-ddr: cold == disk-warm (record read, not recomputed)"
+  echo "== [cache] effectiveness gate (>= 10x disk-warm speedup on both layers, bit-identical)"
+  "$root/$dir/bench/cache_effectiveness" --cache-dir="$scratch" \
+      --out="$root/$dir/BENCH_cache.json"
 }
 
 run_serve() {

@@ -13,7 +13,6 @@
 
 #include "core/advisor.hpp"
 #include "core/result_cache.hpp"
-#include "core/sweep.hpp"
 #include "dense/matrix.hpp"
 #include "kernels/cholesky.hpp"
 #include "kernels/fft.hpp"
@@ -213,8 +212,7 @@ ProbeResult run_probe(core::KernelId kernel, const sim::Platform& baseline) {
 }
 
 /// Probe results are pure functions of (kernel, platform spec); memoized
-/// per process so repeat advise calls — and the verification sweeps'
-/// callers — pay the simulation once.
+/// per process so repeat advise calls pay the simulation once.
 struct ProbeCache {
   util::Mutex mu;
   std::map<std::pair<int, std::string>, ProbeResult> entries OPM_GUARDED_BY(mu);
@@ -926,18 +924,14 @@ std::string render_text(const AdviseResult& r) {
 std::string run_and_render(const AdviseRequest& req, bool* cache_hit) {
   const util::Digest128 key = advise_cache_key(req);
   auto& cache = core::ResultCache::instance();
-  core::CacheProbe probe;
-  auto hit = cache.find<char>(key, &probe);
+  auto hit = cache.find(key);
   if (cache_hit) *cache_hit = hit.has_value();
   if (hit) {
     util::MetricsRegistry::instance().counter("advise.payload_hits").add(1);
-    core::detail::record_cache_hit("advise", 1, probe);
-    return std::string(hit->begin(), hit->end());
+    return std::move(*hit);
   }
-  const AdviseResult result = run_advise(req);
-  std::string payload = render_json(result);
-  cache.store<char>(key, std::vector<char>(payload.begin(), payload.end()), &probe);
-  core::detail::annotate_cache_miss("advise", probe);
+  std::string payload = render_json(run_advise(req));
+  cache.store(key, payload);
   util::MetricsRegistry::instance().counter("advise.computed").add(1);
   return payload;
 }

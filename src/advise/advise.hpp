@@ -29,8 +29,9 @@
 ///      speedup (or Eq. 1 energy ratio for the energy objective).
 ///   3. **verify** — execute the kernel's canonical table-input sweep
 ///      under both the recommended and the baseline configuration
-///      (through the cached core/sweep path, so repeat queries are nearly
-///      free), and mark the recommendation `confirmed`, `marginal`, or
+///      (core::table_inputs_gflops, ~0.35 ms each; repeat questions are
+///      answered from the payload cache below), and mark the
+///      recommendation `confirmed`, `marginal`, or
 ///      `refuted` from the measured delta, with the predicted-vs-measured
 ///      gap attached.
 ///

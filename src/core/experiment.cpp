@@ -35,27 +35,6 @@ const char* to_string(KernelId id) {
 
 namespace {
 
-/// Consults the result cache around `compute`. On a hit the payload is the
-/// exact bytes a cold run would produce and a synthetic SweepStats record
-/// is logged under the sweep's name; on a miss the computed sweep's own
-/// record is annotated with the probe. With the cache disabled this is a
-/// plain call to `compute`.
-template <typename T, typename Fn>
-std::vector<T> cached_sweep(const std::string& name, const util::Digest128& key,
-                            Fn&& compute) {
-  ResultCache& cache = ResultCache::instance();
-  if (!cache.enabled()) return compute();
-  CacheProbe probe;
-  if (auto hit = cache.find<T>(key, &probe)) {
-    detail::record_cache_hit(name.c_str(), hit->size(), probe);
-    return std::move(*hit);
-  }
-  std::vector<T> out = compute();
-  cache.store<T>(key, out, &probe);
-  detail::annotate_cache_miss(name.c_str(), probe);
-  return out;
-}
-
 /// Row-length skew assumed per family (feeds the SpMV/CSR efficiency
 /// penalty; validated against materialized MatrixStats in tests).
 double family_row_cv(sparse::Family family) {
@@ -174,8 +153,8 @@ util::Digest128 sweep_cache_key(const sim::Platform& platform,
 
 // ------------------------------------------------------------------ sweeps --
 
-std::vector<SweepPoint> compute_dense(const sim::Platform& platform,
-                                      const DenseSweepRequest& req) {
+std::vector<SweepPoint> sweep_dense(const sim::Platform& platform,
+                                    const DenseSweepRequest& req) {
   const std::string name = std::string("sweep_dense:") + to_string(req.kernel);
   // The grid coordinates are accumulated serially (floating-point step
   // sums must not depend on the worker count); only the model evaluations
@@ -194,9 +173,9 @@ std::vector<SweepPoint> compute_dense(const sim::Platform& platform,
   });
 }
 
-std::vector<SweepPoint> compute_sparse(const sim::Platform& platform,
-                                       const SparseSweepRequest& req,
-                                       const sparse::SyntheticCollection& suite) {
+std::vector<SweepPoint> sweep_sparse(const sim::Platform& platform,
+                                     const SparseSweepRequest& req,
+                                     const sparse::SyntheticCollection& suite) {
   const std::string name = std::string("sweep_sparse:") + to_string(req.kernel);
   return sweep_transform(name.c_str(), suite.size(), 8, [&](std::size_t i) {
     const auto& d = suite.descriptor(i);
@@ -212,8 +191,8 @@ std::vector<SweepPoint> compute_sparse(const sim::Platform& platform,
   });
 }
 
-std::vector<SweepPoint> compute_footprint(const sim::Platform& platform,
-                                          const FootprintSweepRequest& req) {
+std::vector<SweepPoint> sweep_footprint_kernel(const sim::Platform& platform,
+                                               const FootprintSweepRequest& req) {
   if (req.points == 0 || !(req.fp_hi > req.fp_lo)) return {};
   const std::string name = std::string("sweep_footprint:") + to_string(req.kernel);
   const double log_lo = std::log2(req.fp_lo);
@@ -228,89 +207,58 @@ std::vector<SweepPoint> compute_footprint(const sim::Platform& platform,
   });
 }
 
-std::vector<SweepPoint> sweep_dense(const sim::Platform& platform,
-                                    const DenseSweepRequest& req) {
-  return cached_sweep<SweepPoint>(std::string("sweep_dense:") + to_string(req.kernel),
-                                  sweep_cache_key(platform, req),
-                                  [&] { return compute_dense(platform, req); });
-}
-
-std::vector<SweepPoint> sweep_sparse(const sim::Platform& platform,
-                                     const SparseSweepRequest& req,
-                                     const sparse::SyntheticCollection& suite) {
-  return cached_sweep<SweepPoint>(std::string("sweep_sparse:") + to_string(req.kernel),
-                                  sweep_cache_key(platform, req, suite),
-                                  [&] { return compute_sparse(platform, req, suite); });
-}
-
-std::vector<SweepPoint> sweep_footprint_kernel(const sim::Platform& platform,
-                                               const FootprintSweepRequest& req) {
-  if (req.points == 0 || !(req.fp_hi > req.fp_lo)) return {};  // never cached
-  return cached_sweep<SweepPoint>(std::string("sweep_footprint:") + to_string(req.kernel),
-                                  sweep_cache_key(platform, req),
-                                  [&] { return compute_footprint(platform, req); });
-}
-
 // ------------------------------------------------------------------ tables --
 
 std::vector<double> table_inputs_gflops(const sim::Platform& platform, KernelId kernel,
                                         const sparse::SyntheticCollection& suite) {
   const bool knl = platform.cores >= 32;
-  util::Hasher128 h = key_base("opm.table_inputs", platform);
-  h.add(std::string_view(to_string(kernel)));
-  const util::Digest128 sfp = suite.fingerprint();
-  h.add(sfp.hi);
-  h.add(sfp.lo);
-  const std::string name = std::string("table_inputs:") + to_string(kernel);
-  return cached_sweep<double>(name, h.digest(), [&]() -> std::vector<double> {
-    std::vector<double> out;
-    switch (kernel) {
-      case KernelId::kGemm:
-      case KernelId::kCholesky: {
-        const double n_hi = knl ? 32000.0 : 16128.0;
-        for (const auto& p :
-             sweep_dense(platform, {.kernel = kernel,
-                                    .n_lo = 256.0,
-                                    .n_hi = n_hi,
-                                    .n_step = (n_hi - 256.0) / 15.0,
-                                    .nb_lo = 128.0,
-                                    .nb_hi = 4096.0,
-                                    .nb_step = 256.0}))
-          out.push_back(p.gflops);
-        return out;
-      }
-      case KernelId::kSpmv:
-      case KernelId::kSptrans:
-      case KernelId::kSptrsv: {
-        for (const auto& p :
-             sweep_sparse(platform, {.kernel = kernel, .merge_based = knl}, suite))
-          out.push_back(p.gflops);
-        return out;
-      }
-      case KernelId::kStream: {
-        // Appendix A.2.8: array sizes up to 2^24 elements on Broadwell and
-        // 2^26 on KNL — footprints capped well inside MCDRAM.
-        const double fp_hi = (knl ? double(1 << 26) : double(1 << 24)) * 24.0;
-        for (const auto& p : sweep_footprint_kernel(
-                 platform,
-                 {.kernel = kernel, .fp_lo = 16.0 * 1024, .fp_hi = fp_hi, .points = 64}))
-          out.push_back(p.gflops);
-        return out;
-      }
-      case KernelId::kStencil:
-      case KernelId::kFft: {
-        // Grids from ~8 MB up to a quarter of DDR (past the 16 GB MCDRAM
-        // boundary on KNL, exposing the flat-mode spill).
-        const double fp_lo = 8.0 * 1024 * 1024;
-        const double fp_hi = static_cast<double>(platform.ddr().capacity) * 0.25;
-        for (const auto& p : sweep_footprint_kernel(
-                 platform, {.kernel = kernel, .fp_lo = fp_lo, .fp_hi = fp_hi, .points = 64}))
-          out.push_back(p.gflops);
-        return out;
-      }
+  std::vector<double> out;
+  switch (kernel) {
+    case KernelId::kGemm:
+    case KernelId::kCholesky: {
+      const double n_hi = knl ? 32000.0 : 16128.0;
+      for (const auto& p :
+           sweep_dense(platform, {.kernel = kernel,
+                                  .n_lo = 256.0,
+                                  .n_hi = n_hi,
+                                  .n_step = (n_hi - 256.0) / 15.0,
+                                  .nb_lo = 128.0,
+                                  .nb_hi = 4096.0,
+                                  .nb_step = 256.0}))
+        out.push_back(p.gflops);
+      return out;
     }
-    return out;
-  });
+    case KernelId::kSpmv:
+    case KernelId::kSptrans:
+    case KernelId::kSptrsv: {
+      for (const auto& p :
+           sweep_sparse(platform, {.kernel = kernel, .merge_based = knl}, suite))
+        out.push_back(p.gflops);
+      return out;
+    }
+    case KernelId::kStream: {
+      // Appendix A.2.8: array sizes up to 2^24 elements on Broadwell and
+      // 2^26 on KNL — footprints capped well inside MCDRAM.
+      const double fp_hi = (knl ? double(1 << 26) : double(1 << 24)) * 24.0;
+      for (const auto& p : sweep_footprint_kernel(
+               platform,
+               {.kernel = kernel, .fp_lo = 16.0 * 1024, .fp_hi = fp_hi, .points = 64}))
+        out.push_back(p.gflops);
+      return out;
+    }
+    case KernelId::kStencil:
+    case KernelId::kFft: {
+      // Grids from ~8 MB up to a quarter of DDR (past the 16 GB MCDRAM
+      // boundary on KNL, exposing the flat-mode spill).
+      const double fp_lo = 8.0 * 1024 * 1024;
+      const double fp_hi = static_cast<double>(platform.ddr().capacity) * 0.25;
+      for (const auto& p : sweep_footprint_kernel(
+               platform, {.kernel = kernel, .fp_lo = fp_lo, .fp_hi = fp_hi, .points = 64}))
+        out.push_back(p.gflops);
+      return out;
+    }
+  }
+  return out;
 }
 
 namespace {
@@ -319,119 +267,96 @@ constexpr KernelId kAllKernels[] = {KernelId::kGemm,    KernelId::kCholesky,
                                     KernelId::kSptrsv,  KernelId::kFft,
                                     KernelId::kStencil, KernelId::kStream};
 constexpr std::size_t kKernelCount = std::size(kAllKernels);
-
-/// Table keys hash the suite fingerprint only — the paper's platform
-/// matrix is fixed inside each table function, so it is captured by the
-/// domain tag plus the cache version.
-util::Digest128 suite_key(const char* tag, const sparse::SyntheticCollection& suite) {
-  util::Hasher128 h;
-  h.add(std::string_view(tag));
-  h.add(kResultCacheVersion);
-  const util::Digest128 sfp = suite.fingerprint();
-  h.add(sfp.hi);
-  h.add(sfp.lo);
-  return h.digest();
-}
 }  // namespace
 
 std::vector<KernelSummary> table4_edram(const sparse::SyntheticCollection& suite) {
-  return cached_sweep<KernelSummary>("table4_edram", suite_key("opm.table4_edram", suite), [&] {
-    const sim::Platform off = sim::broadwell(sim::EdramMode::kOff);
-    const sim::Platform on = sim::broadwell(sim::EdramMode::kOn);
-    // Kernels fan out as the top-level sweep; the per-kernel input sweeps
-    // nest inside it on the same pool.
-    return sweep_transform("table4_edram", kKernelCount, 1, [&](std::size_t ki) {
-      const KernelId k = kAllKernels[ki];
-      const auto base = table_inputs_gflops(off, k, suite);
-      const auto opm = table_inputs_gflops(on, k, suite);
-      return KernelSummary{k, summarize_speedup(base, opm)};
-    });
+  const sim::Platform off = sim::broadwell(sim::EdramMode::kOff);
+  const sim::Platform on = sim::broadwell(sim::EdramMode::kOn);
+  // Kernels fan out as the top-level sweep; the per-kernel input sweeps
+  // nest inside it on the same pool.
+  return sweep_transform("table4_edram", kKernelCount, 1, [&](std::size_t ki) {
+    const KernelId k = kAllKernels[ki];
+    const auto base = table_inputs_gflops(off, k, suite);
+    const auto opm = table_inputs_gflops(on, k, suite);
+    return KernelSummary{k, summarize_speedup(base, opm)};
   });
 }
 
 std::vector<ModeSummary> table5_mcdram(const sparse::SyntheticCollection& suite) {
-  return cached_sweep<ModeSummary>("table5_mcdram", suite_key("opm.table5_mcdram", suite), [&] {
-    const sim::Platform ddr = sim::knl(sim::McdramMode::kOff);
-    const sim::Platform flat = sim::knl(sim::McdramMode::kFlat);
-    const sim::Platform cache = sim::knl(sim::McdramMode::kCache);
-    const sim::Platform hybrid = sim::knl(sim::McdramMode::kHybrid);
-    return sweep_transform("table5_mcdram", kKernelCount, 1, [&](std::size_t ki) {
-      const KernelId k = kAllKernels[ki];
-      const auto base = table_inputs_gflops(ddr, k, suite);
-      ModeSummary row;
-      row.kernel = k;
-      row.flat = summarize_speedup(base, table_inputs_gflops(flat, k, suite));
-      row.cache = summarize_speedup(base, table_inputs_gflops(cache, k, suite));
-      row.hybrid = summarize_speedup(base, table_inputs_gflops(hybrid, k, suite));
-      return row;
-    });
+  const sim::Platform ddr = sim::knl(sim::McdramMode::kOff);
+  const sim::Platform flat = sim::knl(sim::McdramMode::kFlat);
+  const sim::Platform cache = sim::knl(sim::McdramMode::kCache);
+  const sim::Platform hybrid = sim::knl(sim::McdramMode::kHybrid);
+  return sweep_transform("table5_mcdram", kKernelCount, 1, [&](std::size_t ki) {
+    const KernelId k = kAllKernels[ki];
+    const auto base = table_inputs_gflops(ddr, k, suite);
+    ModeSummary row;
+    row.kernel = k;
+    row.flat = summarize_speedup(base, table_inputs_gflops(flat, k, suite));
+    row.cache = summarize_speedup(base, table_inputs_gflops(cache, k, suite));
+    row.hybrid = summarize_speedup(base, table_inputs_gflops(hybrid, k, suite));
+    return row;
   });
 }
 
 std::vector<PowerRow> power_rows(const sim::Platform& platform,
                                  const sparse::SyntheticCollection& suite) {
   const bool knl = platform.cores >= 32;
-  util::Hasher128 kh = key_base("opm.power_rows", platform);
-  const util::Digest128 sfp = suite.fingerprint();
-  kh.add(sfp.hi);
-  kh.add(sfp.lo);
-  return cached_sweep<PowerRow>("power_rows", kh.digest(), [&] {
-    return sweep_transform("power_rows", kKernelCount, 1, [&](std::size_t ki) {
-      const KernelId k = kAllKernels[ki];
-      // The canonical input list is built serially; the per-input power
-      // estimates fan out (nested) and are then averaged in index order, so
-      // the row is bit-identical to the old serial accumulation.
-      std::vector<kernels::LocalityModel> models;
-      switch (k) {
-        case KernelId::kGemm:
-        case KernelId::kCholesky: {
-          const double n_hi = knl ? 32000.0 : 16128.0;
-          for (double n = 1024.0; n <= n_hi; n += (n_hi - 1024.0) / 7.0)
-            models.push_back(k == KernelId::kGemm
-                                 ? kernels::gemm_model(platform, n, 512.0)
-                                 : kernels::cholesky_model(platform, n, 512.0));
-          break;
-        }
-        case KernelId::kSpmv:
-        case KernelId::kSptrans:
-        case KernelId::kSptrsv: {
-          for (std::size_t i = 0; i < suite.size(); i += suite.size() / 32 + 1)
-            models.push_back(sparse_model(platform, k, suite.descriptor(i), knl));
-          break;
-        }
-        default: {
-          const double fp_lo = 4.0 * 1024 * 1024;
-          const double fp_hi = static_cast<double>(platform.ddr().capacity) * 0.25;
-          for (const auto& p : sweep_footprint_kernel(
-                   platform, {.kernel = k, .fp_lo = fp_lo, .fp_hi = fp_hi, .points = 16}))
-            models.push_back(footprint_model(platform, k, p.x));
-          break;
-        }
+  return sweep_transform("power_rows", kKernelCount, 1, [&](std::size_t ki) {
+    const KernelId k = kAllKernels[ki];
+    // The canonical input list is built serially; the per-input power
+    // estimates fan out (nested) and are then averaged in index order, so
+    // the row is bit-identical to the old serial accumulation.
+    std::vector<kernels::LocalityModel> models;
+    switch (k) {
+      case KernelId::kGemm:
+      case KernelId::kCholesky: {
+        const double n_hi = knl ? 32000.0 : 16128.0;
+        for (double n = 1024.0; n <= n_hi; n += (n_hi - 1024.0) / 7.0)
+          models.push_back(k == KernelId::kGemm
+                               ? kernels::gemm_model(platform, n, 512.0)
+                               : kernels::cholesky_model(platform, n, 512.0));
+        break;
       }
-      const auto estimates =
-          sweep_transform("power_rows:inputs", models.size(), 4, [&](std::size_t i) {
-            const kernels::Prediction pred = kernels::predict(platform, models[i]);
-            // Even bandwidth-bound kernels keep the cores and uncore roughly
-            // half busy (stalled pipelines, prefetchers, memory controllers),
-            // so package activity is floored at 0.5 during a run — this is
-            // what keeps the relative OPM power delta near the paper's
-            // +8.6%/+6.9%.
-            const double activity = std::max(pred.utilization, 0.5);
-            const sim::PowerEstimate p =
-                sim::estimate_power(platform, activity, pred.ddr_gbps, pred.opm_gbps);
-            return std::pair<double, double>{p.package, p.dram};
-          });
-      PowerRow row{.kernel = k};
-      for (const auto& [package, dram] : estimates) {
-        row.package_watts += package;
-        row.dram_watts += dram;
+      case KernelId::kSpmv:
+      case KernelId::kSptrans:
+      case KernelId::kSptrsv: {
+        for (std::size_t i = 0; i < suite.size(); i += suite.size() / 32 + 1)
+          models.push_back(sparse_model(platform, k, suite.descriptor(i), knl));
+        break;
       }
-      if (!estimates.empty()) {
-        row.package_watts /= static_cast<double>(estimates.size());
-        row.dram_watts /= static_cast<double>(estimates.size());
+      default: {
+        const double fp_lo = 4.0 * 1024 * 1024;
+        const double fp_hi = static_cast<double>(platform.ddr().capacity) * 0.25;
+        for (const auto& p : sweep_footprint_kernel(
+                 platform, {.kernel = k, .fp_lo = fp_lo, .fp_hi = fp_hi, .points = 16}))
+          models.push_back(footprint_model(platform, k, p.x));
+        break;
       }
-      return row;
-    });
+    }
+    const auto estimates =
+        sweep_transform("power_rows:inputs", models.size(), 4, [&](std::size_t i) {
+          const kernels::Prediction pred = kernels::predict(platform, models[i]);
+          // Even bandwidth-bound kernels keep the cores and uncore roughly
+          // half busy (stalled pipelines, prefetchers, memory controllers),
+          // so package activity is floored at 0.5 during a run — this is
+          // what keeps the relative OPM power delta near the paper's
+          // +8.6%/+6.9%.
+          const double activity = std::max(pred.utilization, 0.5);
+          const sim::PowerEstimate p =
+              sim::estimate_power(platform, activity, pred.ddr_gbps, pred.opm_gbps);
+          return std::pair<double, double>{p.package, p.dram};
+        });
+    PowerRow row{.kernel = k};
+    for (const auto& [package, dram] : estimates) {
+      row.package_watts += package;
+      row.dram_watts += dram;
+    }
+    if (!estimates.empty()) {
+      row.package_watts /= static_cast<double>(estimates.size());
+      row.dram_watts /= static_cast<double>(estimates.size());
+    }
+    return row;
   });
 }
 

@@ -22,6 +22,10 @@
 /// (core/sweep.hpp); results are written by index, so output is
 /// bit-identical for any core::set_sweep_workers() setting, including the
 /// serial workers == 0 mode.
+///
+/// Nothing here consults the result cache: every call computes. Caching
+/// pays only on the rendered payloads built from these points (serve's
+/// escaped sweep payloads, the advisor's JSON); see core/result_cache.hpp.
 namespace opm::core {
 
 /// Which kernel a sweep is for.
@@ -49,7 +53,7 @@ struct SweepPoint {
 // defaults matching the paper's appendix A.2 configuration, operator==,
 // and a stable canonical serialization — so each struct, combined with the
 // platform (and suite) fingerprints and the cache version, IS the
-// result-cache key.
+// request's identity (sweep_cache_key below).
 
 /// Dense (n, nb) grid sweep request for GEMM or Cholesky. Defaults are the
 /// appendix A.2.1 Broadwell grid; KNL harnesses widen to n_hi = 32000.
@@ -68,7 +72,7 @@ struct DenseSweepRequest {
 /// Sparse-suite sweep request. `merge_based` selects the MergeTrans
 /// variant for SpTRANS (the paper's KNL configuration); ignored by the
 /// other kernels. The suite itself stays a separate argument — its
-/// descriptors are fingerprinted into the cache key.
+/// descriptors are fingerprinted into the request key.
 struct SparseSweepRequest {
   KernelId kernel = KernelId::kSpmv;
   bool merge_based = false;
@@ -90,14 +94,17 @@ struct FootprintSweepRequest {
 
 /// Canonical, bit-exact serializations (doubles rendered as C99 hex
 /// floats). Equal requests serialize identically; any field change
-/// changes the text. This is what gets hashed into the cache key.
+/// changes the text.
 std::string serialize(const DenseSweepRequest& req);
 std::string serialize(const SparseSweepRequest& req);
 std::string serialize(const FootprintSweepRequest& req);
 
-/// Cache keys: fingerprint of (cache version, request serialization,
-/// platform spec[, suite descriptors]). Exposed so tests can pin the
-/// sensitivity contract: any field change yields a distinct key.
+/// Request identity: fingerprint of (cache version, request serialization,
+/// platform spec[, suite descriptors]). The sweeps themselves are never
+/// cached; these digests are the base of serve::protocol::request_key,
+/// which drives hash-ring placement, single-flight coalescing and the
+/// escaped-payload cache key. Exposed so tests can pin the sensitivity
+/// contract: any field change yields a distinct key.
 util::Digest128 sweep_cache_key(const sim::Platform& platform, const DenseSweepRequest& req);
 util::Digest128 sweep_cache_key(const sim::Platform& platform, const SparseSweepRequest& req,
                                 const sparse::SyntheticCollection& suite);
@@ -107,10 +114,6 @@ util::Digest128 sweep_cache_key(const sim::Platform& platform,
 // ------------------------------------------------------------------ sweeps --
 
 /// Dense (n, nb) grid sweep for GEMM or Cholesky (appendix A.2.1).
-/// Each sweep_* call consults the result cache under its sweep_cache_key
-/// and on a miss runs (and stores) its compute_* body; the compute_*
-/// bodies never touch the cache, for callers that cache a rendering of
-/// the points instead (the serve tier caches escaped payload bytes).
 std::vector<SweepPoint> sweep_dense(const sim::Platform& platform,
                                     const DenseSweepRequest& req);
 
@@ -122,15 +125,6 @@ std::vector<SweepPoint> sweep_sparse(const sim::Platform& platform,
 /// Footprint sweep for Stream / Stencil / FFT.
 std::vector<SweepPoint> sweep_footprint_kernel(const sim::Platform& platform,
                                                const FootprintSweepRequest& req);
-
-/// The uncached sweep bodies: bit-identical to the sweeps above on a miss.
-std::vector<SweepPoint> compute_dense(const sim::Platform& platform,
-                                      const DenseSweepRequest& req);
-std::vector<SweepPoint> compute_sparse(const sim::Platform& platform,
-                                       const SparseSweepRequest& req,
-                                       const sparse::SyntheticCollection& suite);
-std::vector<SweepPoint> compute_footprint(const sim::Platform& platform,
-                                          const FootprintSweepRequest& req);
 
 /// The canonical per-kernel input set for the summary tables: returns the
 /// predicted GFlop/s for every input of `kernel` on `platform` (paired

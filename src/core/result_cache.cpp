@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <list>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "util/metrics.hpp"
 #include "util/mutex.hpp"
@@ -29,10 +31,13 @@ double seconds_since(Clock::time_point t0) {
 // One record per key, named <hex32>.opmrec. Fixed 48-byte header followed
 // by the raw payload bytes. Host-endian: records are a per-machine cache,
 // not an interchange format. Every field is validated on read; any
-// mismatch degrades to a miss.
+// mismatch degrades to a miss. The header's element-size field is always 1
+// (payloads are bytes); a record carrying any other value was written by
+// something else and reads as a type mismatch.
 
 constexpr char kMagic[4] = {'O', 'P', 'M', 'R'};
 constexpr std::size_t kHeaderBytes = 48;
+constexpr std::uint64_t kElemSize = 1;
 
 void put_u32(unsigned char* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 void put_u64(unsigned char* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
@@ -47,7 +52,7 @@ std::uint64_t get_u64(const unsigned char* p) {
   return v;
 }
 
-std::uint64_t payload_checksum(const std::vector<std::byte>& payload) {
+std::uint64_t payload_checksum(std::string_view payload) {
   util::Hasher128 h;
   h.add_bytes(payload.data(), payload.size());
   return h.digest().lo;
@@ -66,8 +71,7 @@ struct DigestHash {
 struct ResultCache::Impl {
   struct Entry {
     util::Digest128 key;
-    std::size_t elem_size = 0;
-    std::vector<std::byte> payload;
+    std::string payload;
   };
 
   struct Shard {
@@ -121,35 +125,26 @@ struct ResultCache::Impl {
 
   // ------------------------------------------------------------ memory tier --
 
-  std::optional<std::vector<std::byte>> memory_find(const util::Digest128& key,
-                                                    std::size_t elem_size) {
+  std::optional<std::string> memory_find(const util::Digest128& key) {
     Shard& s = shard(key);
     util::MutexLock lock(s.mutex);
     auto it = s.index.find(key);
     if (it == s.index.end()) return std::nullopt;
-    if (it->second->elem_size != elem_size) {
-      // Same key, different element size: practically impossible without a
-      // hash collision or a caller bug; treat as absent rather than serve
-      // wrongly-typed bytes.
-      return std::nullopt;
-    }
     s.lru.splice(s.lru.begin(), s.lru, it->second);  // touch
     return it->second->payload;
   }
 
-  void memory_store(const util::Digest128& key, std::size_t elem_size,
-                    std::vector<std::byte> payload) {
+  void memory_store(const util::Digest128& key, std::string payload) {
     const std::size_t cap = per_shard_cap.load(std::memory_order_relaxed);
     Shard& s = shard(key);
     util::MutexLock lock(s.mutex);
     auto it = s.index.find(key);
     if (it != s.index.end()) {
-      it->second->elem_size = elem_size;
       it->second->payload = std::move(payload);
       s.lru.splice(s.lru.begin(), s.lru, it->second);
       return;
     }
-    s.lru.push_front(Entry{key, elem_size, std::move(payload)});
+    s.lru.push_front(Entry{key, std::move(payload)});
     s.index.emplace(key, s.lru.begin());
     while (s.lru.size() > cap) {
       s.index.erase(s.lru.back().key);
@@ -161,7 +156,7 @@ struct ResultCache::Impl {
   // -------------------------------------------------------------- disk tier --
 
   ReadOutcome disk_read(const CacheConfig& cfg, const util::Digest128& key,
-                        std::size_t elem_size, std::vector<std::byte>& out) {
+                        std::string& out) {
     const fs::path path = record_path(cfg, key);
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -175,19 +170,17 @@ struct ResultCache::Impl {
     if (get_u32(header + 4) != kResultCacheVersion) return ReadOutcome::kVersionSkew;
     if (get_u64(header + 8) != key.hi || get_u64(header + 16) != key.lo)
       return ReadOutcome::kCorrupt;
-    if (get_u64(header + 24) != elem_size) return ReadOutcome::kTypeMismatch;
+    if (get_u64(header + 24) != kElemSize) return ReadOutcome::kTypeMismatch;
     const std::uint64_t payload_len = get_u64(header + 32);
     const std::uint64_t checksum = get_u64(header + 40);
-    if (elem_size == 0 || payload_len % elem_size != 0) return ReadOutcome::kCorrupt;
     // Bound the read by the actual file size so a header lying about its
     // length cannot make us allocate absurd buffers.
     std::error_code ec;
     const auto file_size = fs::file_size(path, ec);
     if (ec || file_size != kHeaderBytes + payload_len) return ReadOutcome::kCorrupt;
-    std::vector<std::byte> payload(payload_len);
+    std::string payload(payload_len, '\0');
     if (payload_len > 0 &&
-        !in.read(reinterpret_cast<char*>(payload.data()),
-                 static_cast<std::streamsize>(payload_len)))
+        !in.read(payload.data(), static_cast<std::streamsize>(payload_len)))
       return ReadOutcome::kCorrupt;
     if (payload_checksum(payload) != checksum) return ReadOutcome::kCorrupt;
     // LRU-by-mtime: a disk hit refreshes its record so budget pruning
@@ -198,8 +191,8 @@ struct ResultCache::Impl {
     return ReadOutcome::kOk;
   }
 
-  bool disk_write(const CacheConfig& cfg, const util::Digest128& key, std::size_t elem_size,
-                  const std::vector<std::byte>& payload) {
+  bool disk_write(const CacheConfig& cfg, const util::Digest128& key,
+                  std::string_view payload) {
     std::error_code ec;
     fs::create_directories(cfg.dir, ec);
     if (ec) return false;
@@ -217,13 +210,11 @@ struct ResultCache::Impl {
       put_u32(header + 4, kResultCacheVersion);
       put_u64(header + 8, key.hi);
       put_u64(header + 16, key.lo);
-      put_u64(header + 24, elem_size);
+      put_u64(header + 24, kElemSize);
       put_u64(header + 32, payload.size());
       put_u64(header + 40, payload_checksum(payload));
       outf.write(reinterpret_cast<const char*>(header), kHeaderBytes);
-      if (!payload.empty())
-        outf.write(reinterpret_cast<const char*>(payload.data()),
-                   static_cast<std::streamsize>(payload.size()));
+      outf.write(payload.data(), static_cast<std::streamsize>(payload.size()));
       outf.flush();
       if (!outf) {
         outf.close();
@@ -360,90 +351,58 @@ void ResultCache::clear_memory() {
   }
 }
 
-std::optional<std::vector<std::byte>> ResultCache::find_bytes(const util::Digest128& key,
-                                                              std::size_t elem_size,
-                                                              CacheProbe* probe) {
-  if (!enabled()) {
-    if (probe) probe->source = "off";
-    return std::nullopt;
-  }
+std::optional<std::string> ResultCache::find(const util::Digest128& key) {
+  if (!enabled()) return std::nullopt;
   const auto t0 = Clock::now();
-  CacheProbe local;
-  CacheProbe& p = probe ? *probe : local;
-
-  std::optional<std::vector<std::byte>> result;
-  if (auto mem = impl_->memory_find(key, elem_size)) {
+  std::optional<std::string> result = impl_->memory_find(key);
+  if (result) {
     impl_->memory_hits.add(1);
-    p.hit = true;
-    p.source = "memory";
-    p.bytes_loaded = mem->size();
-    result = std::move(mem);
   } else {
     const CacheConfig cfg = impl_->snapshot();
     ReadOutcome outcome = ReadOutcome::kAbsent;
-    std::vector<std::byte> payload;
-    if (cfg.disk) outcome = impl_->disk_read(cfg, key, elem_size, payload);
+    std::string payload;
+    if (cfg.disk) outcome = impl_->disk_read(cfg, key, payload);
     switch (outcome) {
       case ReadOutcome::kOk:
         impl_->disk_hits.add(1);
-        p.hit = true;
-        p.source = "disk";
-        p.bytes_loaded = payload.size();
-        impl_->memory_store(key, elem_size, payload);  // promote
+        impl_->memory_store(key, payload);  // promote
         result = std::move(payload);
         break;
       case ReadOutcome::kAbsent:
-        p.source = "cold";
         break;
       case ReadOutcome::kCorrupt:
         impl_->corrupt_records.add(1);
-        p.source = "corrupt";
         break;
       case ReadOutcome::kVersionSkew:
         impl_->version_skew.add(1);
-        p.source = "version-skew";
         break;
       case ReadOutcome::kTypeMismatch:
         impl_->type_mismatch.add(1);
-        p.source = "type-mismatch";
         break;
       case ReadOutcome::kIoError:
         impl_->io_errors.add(1);
-        p.source = "io-error";
         break;
     }
-    if (!p.hit) impl_->misses.add(1);
+    if (!result) impl_->misses.add(1);
   }
-
-  p.lookup_seconds = seconds_since(t0);
-  impl_->lookup_seconds.add(p.lookup_seconds);
-  if (p.hit)
-    impl_->bytes_loaded.add(p.bytes_loaded);
+  impl_->lookup_seconds.add(seconds_since(t0));
+  if (result) impl_->bytes_loaded.add(result->size());
   return result;
 }
 
-bool ResultCache::store_bytes(const util::Digest128& key, std::size_t elem_size,
-                              std::vector<std::byte> payload, CacheProbe* probe) {
+bool ResultCache::store(const util::Digest128& key, std::string_view payload) {
   if (!enabled()) return false;
   const auto t0 = Clock::now();
   const CacheConfig cfg = impl_->snapshot();
-  const std::size_t payload_bytes = payload.size();
-  bool disk_ok = true;
   if (cfg.disk) {
-    disk_ok = impl_->disk_write(cfg, key, elem_size, payload);
-    if (disk_ok)
-      impl_->bytes_stored.add(payload_bytes);
+    if (impl_->disk_write(cfg, key, payload))
+      impl_->bytes_stored.add(payload.size());
     else
       impl_->io_errors.add(1);
   }
-  impl_->memory_store(key, elem_size, std::move(payload));
+  impl_->memory_store(key, std::string(payload));
   impl_->stores.add(1);
-  const double dt = seconds_since(t0);
-  impl_->store_seconds.add(dt);
-  if (probe) {
-    probe->store_seconds = dt;
-    probe->bytes_stored = disk_ok && cfg.disk ? payload_bytes : 0;
-  }
+  impl_->store_seconds.add(seconds_since(t0));
   return true;
 }
 

@@ -2,20 +2,21 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <string>
-#include <type_traits>
-#include <vector>
+#include <string_view>
 
 #include "util/fingerprint.hpp"
 
-/// Content-addressed memoization of sweep results.
+/// Content-addressed byte store for rendered payloads.
 ///
-/// Every sweep in core/experiment.hpp is a pure function of (platform
-/// spec, kernel id, canonical request struct, suite descriptors, model
-/// version). ResultCache exploits that: results are stored under a 128-bit
-/// fingerprint of exactly those inputs, in two tiers —
+/// The cache sits at the two boundaries where a hit pays: the serve tier's
+/// escaped sweep payloads (serve::protocol::escaped_sweep_payload, keyed by
+/// protocol::payload_cache_key) and the advisor's rendered JSON
+/// (advise::run_and_render, keyed by advise_cache_key). Both payloads are
+/// pure functions of (platform spec, canonical request serialization,
+/// suite fingerprint, model version), so the bytes are stored under a
+/// 128-bit fingerprint of exactly those inputs, in two tiers —
 ///
 ///   * a thread-safe, sharded, in-memory LRU (fast tier), and
 ///   * an optional on-disk tier of versioned binary records under the
@@ -23,25 +24,25 @@
 ///     OPM_CACHE_DIR / --cache-dir), which makes warm starts survive
 ///     process restarts.
 ///
-/// This mirrors how the OPM literature treats a fast memory tier as a
-/// transparent cache over slow recomputation: identical query, served from
-/// the near tier, bit-identical result. Determinism is the contract — a
-/// hit returns exactly the bytes a cold compute would produce.
+/// The analytic sweeps themselves are not cached: all 48 paper
+/// (platform x kernel) table-input sweeps run cold in 10-25 ms, which
+/// bounds what a sweep-level cache could save (docs/MODEL.md §7).
 ///
-/// Robustness is equally part of the contract: a missing, truncated,
-/// corrupted, version-skewed, or permission-denied cache file must never
-/// change results or crash. Every such fault degrades to a miss (the
-/// caller recomputes) and is counted, by reason, in CacheStats.
+/// Determinism is the contract — a hit returns exactly the bytes a cold
+/// compute would produce. Robustness is equally part of it: a missing,
+/// truncated, corrupted, version-skewed, or permission-denied cache file
+/// must never change results or crash. Every such fault degrades to a miss
+/// (the caller recomputes) and is counted, by reason, in CacheStats.
 ///
 /// The cache ships disabled; bench::init() / core::apply_sweep_config()
-/// enable it for the bench harnesses. Tier-1 tests run with it off so they
-/// keep exercising the compute path (and the sanitizer CI pins that down).
+/// enable it for the harnesses and opm_serve. Tier-1 tests run with it off
+/// so they keep exercising the compute path.
 namespace opm::core {
 
 /// Bumping this invalidates every existing record (it is folded into both
 /// the key derivation and the on-disk header). Bump whenever the meaning
 /// of cached payloads changes: model recalibrations that are NOT visible
-/// in the hashed inputs, layout changes of the result structs, etc.
+/// in the hashed inputs, payload format changes, etc.
 inline constexpr std::uint32_t kResultCacheVersion = 1;
 
 struct CacheConfig {
@@ -69,7 +70,7 @@ struct CacheStats {
   std::size_t bytes_stored = 0;    ///< payload bytes written to the disk tier
   std::size_t corrupt_records = 0; ///< bad magic/length/key/checksum → recompute
   std::size_t version_skew = 0;    ///< record from another cache version → recompute
-  std::size_t type_mismatch = 0;   ///< element size differs from the request → recompute
+  std::size_t type_mismatch = 0;   ///< record elem_size is not 1 (not a byte payload) → recompute
   std::size_t io_errors = 0;       ///< unreadable/unwritable files or dirs → recompute
   // Evictions, by reason (also in the metrics registry as cache.evicted_*):
   std::size_t evicted_memory = 0;  ///< memory LRU entries popped at capacity
@@ -83,19 +84,6 @@ struct CacheStats {
   std::size_t faults() const {
     return corrupt_records + version_skew + type_mismatch + io_errors;
   }
-};
-
-/// Outcome of one consultation (lookup and, on miss, the follow-up store).
-/// The sweep layer folds this into SweepStats telemetry.
-struct CacheProbe {
-  bool hit = false;
-  /// "memory", "disk", or the miss/fault reason ("cold", "corrupt",
-  /// "version-skew", "type-mismatch", "io-error").
-  const char* source = "cold";
-  std::size_t bytes_loaded = 0;
-  std::size_t bytes_stored = 0;
-  double lookup_seconds = 0.0;
-  double store_seconds = 0.0;
 };
 
 class ResultCache {
@@ -114,35 +102,18 @@ class ResultCache {
   CacheStats stats() const;
   void reset_stats();
 
-  /// Drops every in-memory entry (disk tier untouched). Used by the
-  /// cold/warm benches to measure the disk tier in isolation.
+  /// Drops every in-memory entry (disk tier untouched), so the next lookup
+  /// reads the disk tier in isolation. configure() does the same.
   void clear_memory();
 
   /// Looks `key` up in memory, then disk. Returns the payload on a hit
   /// (bit-identical to what was stored) or nullopt on any miss or fault.
-  template <typename T>
-  std::optional<std::vector<T>> find(const util::Digest128& key, CacheProbe* probe = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "cache payloads are raw element bytes");
-    auto bytes = find_bytes(key, sizeof(T), probe);
-    if (!bytes) return std::nullopt;
-    std::vector<T> out(bytes->size() / sizeof(T));
-    if (!out.empty()) std::memcpy(out.data(), bytes->data(), bytes->size());
-    return out;
-  }
+  std::optional<std::string> find(const util::Digest128& key);
 
-  /// Stores `value` in both tiers. Disk failures (unwritable directory,
+  /// Stores `payload` in both tiers. Disk failures (unwritable directory,
   /// full disk, ...) are absorbed: the in-memory entry still lands and the
   /// fault is counted. Returns false only when the cache is disabled.
-  template <typename T>
-  bool store(const util::Digest128& key, const std::vector<T>& value,
-             CacheProbe* probe = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "cache payloads are raw element bytes");
-    std::vector<std::byte> bytes(value.size() * sizeof(T));
-    if (!bytes.empty()) std::memcpy(bytes.data(), value.data(), bytes.size());
-    return store_bytes(key, sizeof(T), std::move(bytes), probe);
-  }
+  bool store(const util::Digest128& key, std::string_view payload);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -150,11 +121,6 @@ class ResultCache {
  private:
   ResultCache();
   ~ResultCache();
-
-  std::optional<std::vector<std::byte>> find_bytes(const util::Digest128& key,
-                                                   std::size_t elem_size, CacheProbe* probe);
-  bool store_bytes(const util::Digest128& key, std::size_t elem_size,
-                   std::vector<std::byte> payload, CacheProbe* probe);
 
   struct Impl;
   Impl* impl_;

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <thread>
 
-#include "core/result_cache.hpp"
 #include "util/csv.hpp"
 #include "util/metrics.hpp"
 #include "util/mutex.hpp"
@@ -84,14 +83,11 @@ std::vector<SweepStats> drain_sweep_stats() {
 void write_sweep_stats_csv(std::ostream& os, const std::vector<SweepStats>& stats) {
   util::CsvWriter csv(os);
   csv.header({"sweep", "workers", "items", "tasks", "steals", "wall_s", "busy_s",
-              "speedup_est", "cache_hits", "cache_misses", "cache_loaded_b",
-              "cache_stored_b", "cache_s", "cache_src", "sim_lines", "sim_lines_per_s",
-              "sampled", "max_rel_err"});
+              "speedup_est", "sim_lines", "sim_lines_per_s", "sampled", "max_rel_err"});
   for (const auto& s : stats)
     csv.row(s.name, s.workers, s.items, s.tasks, s.steals, s.wall_seconds, s.busy_seconds,
-            s.speedup_estimate(), s.cache_hits, s.cache_misses, s.cache_bytes_loaded,
-            s.cache_bytes_stored, s.cache_seconds, s.cache_source, s.sim_lines,
-            s.sim_lines_per_sec(), s.sampled ? 1 : 0, s.max_rel_error);
+            s.speedup_estimate(), s.sim_lines, s.sim_lines_per_sec(), s.sampled ? 1 : 0,
+            s.max_rel_error);
 }
 
 std::string sweep_stats_json(const SweepStats& s) {
@@ -99,11 +95,7 @@ std::string sweep_stats_json(const SweepStats& s) {
   os << "{\"sweep\":\"" << s.name << "\",\"workers\":" << s.workers
      << ",\"items\":" << s.items << ",\"tasks\":" << s.tasks << ",\"steals\":" << s.steals
      << ",\"wall_s\":" << s.wall_seconds << ",\"busy_s\":" << s.busy_seconds
-     << ",\"speedup_est\":" << s.speedup_estimate() << ",\"cache\":{\"hits\":"
-     << s.cache_hits << ",\"misses\":" << s.cache_misses << ",\"loaded_b\":"
-     << s.cache_bytes_loaded << ",\"stored_b\":" << s.cache_bytes_stored
-     << ",\"seconds\":" << s.cache_seconds << ",\"source\":\"" << s.cache_source
-     << "\"},\"sim_lines\":" << s.sim_lines
+     << ",\"speedup_est\":" << s.speedup_estimate() << ",\"sim_lines\":" << s.sim_lines
      << ",\"sim_lines_per_s\":" << s.sim_lines_per_sec()
      << ",\"sampled\":" << (s.sampled ? "true" : "false")
      << ",\"max_rel_error\":" << s.max_rel_error << ",\"worker_busy_s\":[";
@@ -184,49 +176,6 @@ void SweepTimer::stop() {
     }
   }
   record(std::move(s));
-}
-
-namespace {
-
-/// Matches SweepTimer's "is this a top-level sweep?" rule without
-/// constructing the pool: a cache hit needs no workers, so a nil pool
-/// means the caller cannot be on a worker thread.
-bool top_level_sweep() {
-  if (t_sweep_depth > 0) return false;
-  Engine& e = engine();
-  util::MutexLock lock(e.mutex);
-  return !(e.pool && e.pool->on_worker_thread());
-}
-
-}  // namespace
-
-void record_cache_hit(const char* name, std::size_t items, const CacheProbe& probe) {
-  if (!top_level_sweep()) return;
-  SweepStats s;
-  s.name = name;
-  s.items = items;
-  s.workers = 0;
-  s.tasks = 0;
-  s.wall_seconds = probe.lookup_seconds;
-  s.busy_seconds = probe.lookup_seconds;
-  s.cache_hits = 1;
-  s.cache_bytes_loaded = probe.bytes_loaded;
-  s.cache_seconds = probe.lookup_seconds;
-  s.cache_source = probe.source;
-  record(std::move(s));
-}
-
-void annotate_cache_miss(const char* name, const CacheProbe& probe) {
-  Engine& e = engine();
-  util::MutexLock lock(e.log_mutex);
-  for (auto it = e.log.rbegin(); it != e.log.rend(); ++it) {
-    if (it->name != name) continue;
-    it->cache_misses += 1;
-    it->cache_bytes_stored += probe.bytes_stored;
-    it->cache_seconds += probe.lookup_seconds + probe.store_seconds;
-    it->cache_source = probe.source;
-    return;
-  }
 }
 
 }  // namespace detail

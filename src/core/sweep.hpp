@@ -42,17 +42,6 @@ struct SweepStats {
   /// helping non-worker threads). Empty for serial sweeps.
   std::vector<double> worker_busy_seconds;
 
-  // Result-cache telemetry (core/result_cache.hpp), filled when the sweep
-  // consulted the cache. A hit records a synthetic entry (workers = 0,
-  // tasks = 0, wall = lookup latency); a miss annotates the computed
-  // sweep's own record with the lookup + store accounting.
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t cache_bytes_loaded = 0;
-  std::size_t cache_bytes_stored = 0;
-  double cache_seconds = 0.0;  ///< cache lookup + store time
-  std::string cache_source;    ///< "", "memory", "disk", or the miss reason
-
   /// Simulator throughput: line-granular accesses the trace-driven
   /// MemorySystem walked during this sweep (delta of the process-wide
   /// "sim.lines_simulated" metric; 0 for purely analytical sweeps).
@@ -103,23 +92,10 @@ void write_sweep_stats_csv(std::ostream& os, const std::vector<SweepStats>& stat
 /// per-worker busy array).
 std::string sweep_stats_json(const SweepStats& s);
 
-struct CacheProbe;  // core/result_cache.hpp
-
 namespace detail {
 
 /// Shared pool sized to sweep_workers(); nullptr when serial.
 util::ThreadPool* sweep_pool();
-
-/// Records a synthetic SweepStats entry for a cache-served sweep (no pool
-/// work ran). Follows SweepTimer's nesting rules: hits that happen inside
-/// another sweep's task are folded into the enclosing record, i.e. not
-/// recorded separately.
-void record_cache_hit(const char* name, std::size_t items, const CacheProbe& probe);
-
-/// Folds a miss-path probe (lookup latency + store bytes) into the most
-/// recently recorded sweep with the given name, if any. No-op for nested
-/// sweeps, which never recorded a top-level entry.
-void annotate_cache_miss(const char* name, const CacheProbe& probe);
 
 /// RAII sampler around one sweep_transform call: snapshots the pool
 /// counters at construction and records a SweepStats delta at stop().

@@ -7,10 +7,12 @@
 
 /// The consolidated runtime-knob surface for the sweep engine.
 ///
-/// Before this existed, each harness touched core::set_sweep_workers() ad
-/// hoc and nothing configured the result cache. Now a harness resolves one
-/// SweepConfig — defaults, overlaid by environment, overlaid by CLI (see
-/// bench::init) — and applies it once:
+/// A harness (or opm_serve) resolves one SweepConfig — defaults, overlaid
+/// by environment, overlaid by CLI (see bench::init) — and applies it
+/// once. The cache.* knobs configure core::ResultCache, which holds only
+/// rendered payloads (serve's escaped sweep payloads and advise JSON); the
+/// sweeps themselves always compute, so a harness that only sweeps reads
+/// and writes no cache whatever these say:
 ///
 ///   knob                 CLI                    environment
 ///   ------------------   --------------------   ------------------------
@@ -28,7 +30,7 @@ namespace opm::core {
 struct SweepConfig {
   std::size_t workers = 0;  ///< sweep worker count (0 = serial inline)
   bool telemetry = true;    ///< bench harnesses emit SweepStats blocks
-  CacheConfig cache;        ///< result-cache tiers (core/result_cache.hpp)
+  CacheConfig cache;        ///< payload-cache tiers (core/result_cache.hpp)
   /// Trace-simulation sampling (sim/window_sampler.hpp). kOff = every
   /// simulation is exact; kFast = sampling-aware consumers (the advise
   /// probe) run a WindowSampler and surface sampled:true + the error

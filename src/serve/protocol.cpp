@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -403,20 +404,15 @@ util::Digest128 payload_cache_key(const Request& req) {
 
 namespace {
 
-/// A sweep request's points, through the points cache (core::sweep_*) or
-/// straight from the uncached body (core::compute_*). Empty for the
-/// non-sweep types.
-std::vector<core::SweepPoint> sweep_points(const Request& req, bool use_points_cache) {
+/// A sweep request's points. Empty for the non-sweep types.
+std::vector<core::SweepPoint> sweep_points(const Request& req) {
   switch (req.type) {
     case RequestType::kDense:
-      return use_points_cache ? core::sweep_dense(req.platform, req.dense)
-                              : core::compute_dense(req.platform, req.dense);
+      return core::sweep_dense(req.platform, req.dense);
     case RequestType::kSparse:
-      return use_points_cache ? core::sweep_sparse(req.platform, req.sparse, serve_suite())
-                              : core::compute_sparse(req.platform, req.sparse, serve_suite());
+      return core::sweep_sparse(req.platform, req.sparse, serve_suite());
     case RequestType::kFootprint:
-      return use_points_cache ? core::sweep_footprint_kernel(req.platform, req.footprint)
-                              : core::compute_footprint(req.platform, req.footprint);
+      return core::sweep_footprint_kernel(req.platform, req.footprint);
     default:
       return {};
   }
@@ -427,15 +423,13 @@ std::vector<core::SweepPoint> sweep_points(const Request& req, bool use_points_c
 std::string escaped_sweep_payload(const Request& req, bool* cache_hit) {
   core::ResultCache& cache = core::ResultCache::instance();
   const util::Digest128 key = payload_cache_key(req);
-  if (auto hit = cache.find<char>(key)) {
+  if (auto hit = cache.find(key)) {
     *cache_hit = true;
-    return std::string(hit->begin(), hit->end());
+    return std::move(*hit);
   }
   *cache_hit = false;
-  // The lookup above stays this request's only cache consultation, so a
-  // cold request counts exactly one cache miss.
-  std::string escaped = util::json_escape(render_points_csv(sweep_points(req, false)));
-  cache.store<char>(key, std::vector<char>(escaped.begin(), escaped.end()));
+  std::string escaped = util::json_escape(render_points_csv(sweep_points(req)));
+  cache.store(key, escaped);
   return escaped;
 }
 
@@ -446,7 +440,7 @@ std::string execute(const Request& req) {
     case RequestType::kDense:
     case RequestType::kSparse:
     case RequestType::kFootprint:
-      return render_points_csv(sweep_points(req, true));
+      return render_points_csv(sweep_points(req));
     default:
       return {};
   }
@@ -654,21 +648,34 @@ std::string render_pong(const std::string& id) {
   return render_pong(Envelope{1, id, 0});
 }
 
+namespace {
+
+/// A JSON number that is integral and fits in an int. Anything else —
+/// a fraction, 1e999 (parsed as inf), NaN, or a value past INT_MIN/INT_MAX,
+/// whose cast would be undefined — makes the response malformed.
+bool read_int(const util::JsonValue& v, int* out) {
+  if (!v.is_number()) return false;
+  const double d = v.number;
+  if (!(d >= static_cast<double>(std::numeric_limits<int>::min()) &&
+        d <= static_cast<double>(std::numeric_limits<int>::max()) && d == std::floor(d)))
+    return false;
+  *out = static_cast<int>(d);
+  return true;
+}
+
+}  // namespace
+
 bool parse_response(std::string_view line, ResponseView* out) {
   const auto doc = util::parse_json(line);
   if (!doc || !doc->is_object()) return false;
   *out = ResponseView{};
-  if (const util::JsonValue* v = doc->find("v")) {
-    if (!v->is_number()) return false;
-    out->version = static_cast<int>(v->number);
-  }
+  if (const util::JsonValue* v = doc->find("v"))
+    if (!read_int(*v, &out->version)) return false;
   const util::JsonValue* id = doc->find(out->version == 2 ? "req_id" : "id");
   if (!id || !id->is_string()) return false;
   out->id = id->string;
-  if (const util::JsonValue* shard = doc->find("shard")) {
-    if (!shard->is_number()) return false;
-    out->shard = static_cast<int>(shard->number);
-  }
+  if (const util::JsonValue* shard = doc->find("shard"))
+    if (!read_int(*shard, &out->shard)) return false;
   const util::JsonValue* ok = doc->find("ok");
   if (!ok || !ok->is_bool()) return false;
   out->ok = ok->boolean;
@@ -680,10 +687,11 @@ bool parse_response(std::string_view line, ResponseView* out) {
     if (!category || !category->is_string() || !message || !message->is_string()) return false;
     out->error.category = category->string;
     out->error.message = message->string;
+    // A non-number hint reads as absent; a number must be a valid int.
     if (const util::JsonValue* retry = e->find("retry_after_ms"))
-      out->error.retry_after_ms = retry->is_number() ? static_cast<int>(retry->number) : 0;
+      if (retry->is_number() && !read_int(*retry, &out->error.retry_after_ms)) return false;
     if (const util::JsonValue* hint = e->find("shard"))
-      out->error.shard = hint->is_number() ? static_cast<int>(hint->number) : -1;
+      if (hint->is_number() && !read_int(*hint, &out->error.shard)) return false;
     return true;
   }
   const util::JsonValue* type = doc->find("type");

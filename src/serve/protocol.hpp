@@ -178,31 +178,30 @@ std::string render_request(const Request& req);
 /// 968-matrix synthetic collection, built once per process).
 const sparse::SyntheticCollection& serve_suite();
 
-/// Coalescing/caching identity of a request: the sweep's result-cache key
-/// (platform + canonical struct [+ suite]) plus a response-format tag.
+/// Coalescing/caching identity of a request: the sweep's request key
+/// (core::sweep_cache_key: platform + canonical struct [+ suite]) plus a
+/// response-format tag.
 /// Deliberately excludes `id` — two clients asking the same question are
 /// the same flight. Meaningless for stats/ping (never dispatched).
 util::Digest128 request_key(const Request& req);
 
-/// Runs the sweep through the core library (result cache and all) and
-/// renders the payload. This is the byte-identity reference: the offline
-/// verifier calls this directly and diffs against served payloads.
+/// Runs the sweep (or the advisor) through the core library and renders
+/// the payload. This is the byte-identity reference: the offline verifier
+/// calls this directly and diffs against served payloads. Sweeps never
+/// touch the result cache here; advise goes through advise::run_and_render.
 std::string execute(const Request& req);
 
 /// Result-cache key of a sweep's escaped payload bytes: request_key(req)
-/// under its own tag, so the record never collides with the sweep's
-/// points record (core::sweep_cache_key) or an advise payload.
+/// under its own tag, so the record never collides with an advise payload.
 util::Digest128 payload_cache_key(const Request& req);
 
 /// The serve path's sweep payload, already JSON-escaped: exactly
 /// util::json_escape(execute(req)), ready for the EscapedPayload
 /// render_response. The result cache holds these bytes (memory LRU and
 /// .opmrec disk tier) under payload_cache_key(req), so a hit is one
-/// lookup and a copy. A miss computes through the uncached sweep body
-/// (core::compute_*) — this lookup stays the request's only cache
-/// consultation — then renders, escapes and stores. With the cache off
-/// every call computes. *cache_hit reports which happened. Sweep types
-/// only.
+/// lookup. A miss runs the sweep, renders, escapes and stores; this lookup
+/// is the request's only cache consultation. With the cache off every
+/// call computes. *cache_hit reports which happened. Sweep types only.
 std::string escaped_sweep_payload(const Request& req, bool* cache_hit);
 
 /// CSV payload: header "x,y,gflops,footprint,rows,nnz,input_id", doubles

@@ -700,6 +700,39 @@ TEST_F(LintPathsTest, MissingRootYieldsIoFinding) {
   EXPECT_EQ(findings[0].line, 0u);
 }
 
+TEST_F(LintPathsTest, ScopeIsRelativeToTheScanRootNotItsSpelling) {
+  // One tree named three ways: through a path that passes src/, and from
+  // inside it. Rules scope by the path relative to the scan root (root
+  // name kept), so tests/t.cpp is never "in src" and only rng fires.
+  const std::string ck = dir_ + "/src/ck";
+  std::filesystem::create_directories(ck + "/tests");
+  write(ck + "/tests/t.cpp",
+        "#include <iostream>\n"
+        "void f() { std::cout << 1 << std::endl; }\n"
+        "int g() { return rand(); }\n");
+  const auto through_src = analyze_paths({ck + "/tests"}).findings;
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(ck);
+  const auto from_inside = analyze_paths({"tests"}).findings;
+  const auto dot_slash = analyze_paths({"./tests/"}).findings;
+  std::filesystem::current_path(cwd);
+
+  // Findings are reported under the path as given; past that prefix they
+  // must be identical.
+  const auto strip = [](std::vector<Finding> found, const std::string& prefix) {
+    for (Finding& f : found) {
+      EXPECT_EQ(f.file.rfind(prefix, 0), 0u) << f.file;
+      f.file = f.file.substr(prefix.size());
+    }
+    return found;
+  };
+  ASSERT_EQ(through_src.size(), 1u);
+  EXPECT_EQ(through_src[0].pass, "rng");
+  EXPECT_EQ(through_src[0].line, 3u);
+  EXPECT_EQ(strip(through_src, ck + "/"), from_inside);
+  EXPECT_EQ(strip(dot_slash, "./"), from_inside);
+}
+
 // ------------------------------------------------------ CLI exit contract --
 
 int run_cli(const std::vector<std::string>& args, std::string* out_text = nullptr) {

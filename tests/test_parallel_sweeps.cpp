@@ -3,14 +3,17 @@
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/result_cache.hpp"
 #include "core/sweep.hpp"
+#include "serve/protocol.hpp"
 #include "sim/platform.hpp"
 #include "sparse/collection.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 /// The parallel sweep engine's contract, tested from both ends:
@@ -175,26 +178,22 @@ TEST(SweepStats, CsvAndJsonEmission) {
   s.wall_seconds = 0.5;
   s.busy_seconds = 1.5;
   s.worker_busy_seconds = {0.5, 0.25, 0.5, 0.25, 0.0};
-
-  s.cache_hits = 1;
-  s.cache_bytes_loaded = 2048;
-  s.cache_source = "disk";
+  s.sim_lines = 4096;
 
   std::ostringstream csv;
   core::write_sweep_stats_csv(csv, {s});
   EXPECT_NE(csv.str().find("sweep,workers,items,tasks,steals,wall_s,busy_s,speedup_est,"
-                           "cache_hits,cache_misses,cache_loaded_b,cache_stored_b,cache_s,"
-                           "cache_src"),
+                           "sim_lines,sim_lines_per_s,sampled,max_rel_err"),
             std::string::npos);
-  EXPECT_NE(csv.str().find("sweep_sparse:SpMV,4,968,121,17,0.5,1.5,3,1,0,2048,0,0,disk"),
+  EXPECT_NE(csv.str().find("sweep_sparse:SpMV,4,968,121,17,0.5,1.5,3,4096,8192,0,0"),
             std::string::npos);
 
   const std::string json = core::sweep_stats_json(s);
   EXPECT_NE(json.find("\"sweep\":\"sweep_sparse:SpMV\""), std::string::npos);
   EXPECT_NE(json.find("\"steals\":17"), std::string::npos);
-  EXPECT_NE(json.find("\"cache\":{\"hits\":1,\"misses\":0,\"loaded_b\":2048,\"stored_b\":0,"
-                      "\"seconds\":0,\"source\":\"disk\"}"),
+  EXPECT_NE(json.find("\"speedup_est\":3,\"sim_lines\":4096,\"sim_lines_per_s\":8192"),
             std::string::npos);
+  EXPECT_EQ(json.find("cache"), std::string::npos);  // cache totals live in cache.* metrics
   EXPECT_NE(json.find("\"worker_busy_s\":[0.5,0.25,0.5,0.25,0]"), std::string::npos);
   EXPECT_EQ(s.speedup_estimate(), 3.0);
 }
@@ -220,49 +219,75 @@ class CacheGuard {
   core::CacheConfig saved_;
 };
 
+/// Footprint sweeps small enough to compute many times per test; each
+/// `points` value is a distinct payload-cache key.
+serve::protocol::Request footprint_request(int points) {
+  serve::protocol::Request req;
+  serve::protocol::Error err;
+  const bool ok = serve::protocol::parse_request(
+      R"({"type":"footprint","platform":"broadwell-edram-off","kernel":"stream","points":)" +
+          std::to_string(points) + "}",
+      &req, &err);
+  EXPECT_TRUE(ok) << err.message;
+  return req;
+}
+
 TEST(SweepCache, ConcurrentMixedHitMissLookupsFromWorkers) {
   WorkerGuard guard;
   CacheGuard cache_guard;
-  const sim::Platform off = sim::broadwell(sim::EdramMode::kOff);
+  constexpr int kRequests = 24;
+  std::vector<serve::protocol::Request> reqs;
+  for (int i = 0; i < kRequests; ++i) reqs.push_back(footprint_request(8 + i));
 
   core::configure_result_cache({.enabled = false});
   core::set_sweep_workers(4);
-  const auto reference = core::table4_edram(small_suite());
+  const auto uncached = [&](std::size_t i) { return serve::protocol::execute(reqs[i]); };
+  const auto reference = core::sweep_transform("reference", reqs.size(), 1, uncached);
 
   // Memory tier only: this test is about shard-table thread safety, not
   // the disk format (tests/test_result_cache.cpp covers that).
   core::configure_result_cache({.enabled = true, .disk = false});
   core::reset_result_cache_stats();
-  // Pre-warm a minority of the per-kernel input keys, so the table-4 fan
-  // out below issues concurrent worker-side lookups that MIX hits (the
-  // warmed keys) and misses-then-stores (everything else).
-  for (auto k : {core::KernelId::kGemm, core::KernelId::kSpmv, core::KernelId::kStream})
-    core::table_inputs_gflops(off, k, small_suite());
+  // Pre-warm a minority of the payload keys, so the fan-out below issues
+  // concurrent worker-side lookups that MIX hits (the warmed keys) and
+  // misses-then-stores (everything else).
+  bool hit = false;
+  for (int i = 0; i < kRequests; i += 4) serve::protocol::escaped_sweep_payload(reqs[i], &hit);
   const auto warmup = core::result_cache_stats();
-  EXPECT_GT(warmup.stores, 0u);
+  EXPECT_EQ(warmup.stores, std::size_t{kRequests / 4});
 
-  const auto cached = core::table4_edram(small_suite());
+  const auto cached = core::sweep_transform("payloads", reqs.size(), 1, [&](std::size_t i) {
+    bool h = false;
+    return serve::protocol::escaped_sweep_payload(reqs[i], &h);
+  });
   const auto stats = core::result_cache_stats();
-  EXPECT_GE(stats.memory_hits, 3u);        // the pre-warmed keys hit from workers
+  EXPECT_GE(stats.memory_hits, std::size_t{kRequests / 4});  // warmed keys hit from workers
   EXPECT_GT(stats.misses, warmup.misses);  // the cold keys missed concurrently
   EXPECT_EQ(stats.faults(), 0u);
-  EXPECT_TRUE(reference == cached);  // hits are bit-identical to recompute
+  ASSERT_EQ(cached.size(), reference.size());
+  for (std::size_t i = 0; i < cached.size(); ++i)  // hits are bit-identical to recompute
+    EXPECT_EQ(cached[i], util::json_escape(reference[i])) << "request " << i;
 }
 
 TEST(SweepCache, HitsAcrossWorkerCountsStayBitIdentical) {
   WorkerGuard guard;
   CacheGuard cache_guard;
   core::configure_result_cache({.enabled = true, .disk = false});
-  const sim::Platform p = sim::knl(sim::McdramMode::kFlat);
+  serve::protocol::Request req;
+  serve::protocol::Error err;
+  ASSERT_TRUE(serve::protocol::parse_request(
+      R"({"type":"sparse","platform":"knl-flat","kernel":"spmv"})", &req, &err));
 
   core::set_sweep_workers(0);
-  const auto cold = core::sweep_sparse(p, {.kernel = core::KernelId::kSpmv}, small_suite());
+  bool hit = true;
+  const std::string cold = serve::protocol::escaped_sweep_payload(req, &hit);
+  ASSERT_FALSE(hit);
   // The key ignores the worker count — a warm lookup under any pool size
   // returns the serial run's exact bytes.
   for (std::size_t workers : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     core::set_sweep_workers(workers);
-    const auto warm = core::sweep_sparse(p, {.kernel = core::KernelId::kSpmv}, small_suite());
-    EXPECT_TRUE(cold == warm) << "workers " << workers;
+    EXPECT_EQ(cold, serve::protocol::escaped_sweep_payload(req, &hit)) << "workers " << workers;
+    EXPECT_TRUE(hit) << "workers " << workers;
   }
 }
 

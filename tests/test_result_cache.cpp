@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -10,9 +11,11 @@
 #include "core/experiment.hpp"
 #include "core/result_cache.hpp"
 #include "core/sweep.hpp"
+#include "serve/protocol.hpp"
 #include "sim/platform.hpp"
 #include "sparse/collection.hpp"
 #include "util/fingerprint.hpp"
+#include "util/json.hpp"
 
 /// The content-addressed result cache's three contracts, tested directly:
 ///
@@ -23,10 +26,14 @@
 /// * robustness — a missing, truncated, corrupted, version-skewed,
 ///   wrongly-typed, or permission-denied record NEVER changes results or
 ///   crashes; it degrades to recompute and is counted by reason.
+///
+/// Payloads are bytes (the cache holds rendered serve/advise payloads); the
+/// generic tests store the raw bytes of a double array, NULs and all.
 namespace opm {
 namespace {
 
 namespace fs = std::filesystem;
+namespace protocol = serve::protocol;
 
 class ResultCacheTest : public ::testing::Test {
  protected:
@@ -40,7 +47,6 @@ class ResultCacheTest : public ::testing::Test {
         {.enabled = true, .disk = true, .dir = dir_.string(), .max_entries = 4096});
     core::reset_result_cache_stats();
     core::set_sweep_workers(0);
-    core::drain_sweep_stats();
   }
 
   void TearDown() override {
@@ -73,10 +79,21 @@ class ResultCacheTest : public ::testing::Test {
   fs::path dir_;
 };
 
-std::vector<double> payload(std::size_t n, double scale) {
-  std::vector<double> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = scale * static_cast<double>(i + 1);
-  return v;
+/// The raw bytes of n doubles (scale * 1..n).
+std::string payload(std::size_t n, double scale) {
+  std::string bytes(n * sizeof(double), '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = scale * static_cast<double>(i + 1);
+    std::memcpy(bytes.data() + i * sizeof(double), &v, sizeof(double));
+  }
+  return bytes;
+}
+
+protocol::Request parse_ok(const std::string& line) {
+  protocol::Request req;
+  protocol::Error err;
+  EXPECT_TRUE(protocol::parse_request(line, &req, &err)) << err.message;
+  return req;
 }
 
 // ---------------------------------------------------------------- roundtrip --
@@ -85,28 +102,23 @@ TEST_F(ResultCacheTest, RoundTripServesExactBytesFromBothTiers) {
   auto& cache = core::ResultCache::instance();
   const auto key = key_of(1);
   const auto value = payload(300, 0.25);
-  core::CacheProbe store_probe;
-  EXPECT_TRUE(cache.store(key, value, &store_probe));
-  EXPECT_EQ(store_probe.bytes_stored, 300 * sizeof(double));
+  EXPECT_TRUE(cache.store(key, value));
+  EXPECT_EQ(core::result_cache_stats().bytes_stored, 300 * sizeof(double));
 
-  core::CacheProbe mem_probe;
-  const auto mem = cache.find<double>(key, &mem_probe);
+  const auto mem = cache.find(key);
   ASSERT_TRUE(mem.has_value());
   EXPECT_EQ(*mem, value);
-  EXPECT_STREQ(mem_probe.source, "memory");
+  EXPECT_EQ(core::result_cache_stats().memory_hits, 1u);
 
   cache.clear_memory();
-  core::CacheProbe disk_probe;
-  const auto disk = cache.find<double>(key, &disk_probe);
+  const auto disk = cache.find(key);
   ASSERT_TRUE(disk.has_value());
   EXPECT_EQ(*disk, value);  // bit-identical after the disk round trip
-  EXPECT_STREQ(disk_probe.source, "disk");
-  EXPECT_EQ(disk_probe.bytes_loaded, 300 * sizeof(double));
+  EXPECT_EQ(core::result_cache_stats().disk_hits, 1u);
+  EXPECT_EQ(core::result_cache_stats().bytes_loaded, 2 * 300 * sizeof(double));
 
   // The disk hit promoted the record back into memory.
-  core::CacheProbe again;
-  EXPECT_TRUE(cache.find<double>(key, &again).has_value());
-  EXPECT_STREQ(again.source, "memory");
+  EXPECT_TRUE(cache.find(key).has_value());
 
   const auto stats = core::result_cache_stats();
   EXPECT_EQ(stats.memory_hits, 2u);
@@ -118,10 +130,11 @@ TEST_F(ResultCacheTest, DisabledCacheNoOps) {
   core::configure_result_cache({.enabled = false});
   auto& cache = core::ResultCache::instance();
   EXPECT_FALSE(cache.store(key_of(2), payload(8, 1.0)));
-  core::CacheProbe probe;
-  EXPECT_FALSE(cache.find<double>(key_of(2), &probe).has_value());
-  EXPECT_STREQ(probe.source, "off");
-  EXPECT_EQ(core::result_cache_stats().misses, 0u);  // disabled ≠ miss
+  EXPECT_FALSE(cache.find(key_of(2)).has_value());
+  const auto stats = core::result_cache_stats();
+  EXPECT_EQ(stats.misses, 0u);  // disabled ≠ miss
+  EXPECT_EQ(stats.hits(), 0u);
+  EXPECT_EQ(stats.stores, 0u);
 }
 
 TEST_F(ResultCacheTest, LruEvictionBoundsTheMemoryTier) {
@@ -134,7 +147,7 @@ TEST_F(ResultCacheTest, LruEvictionBoundsTheMemoryTier) {
   for (std::uint64_t i = 0; i < kKeys; ++i) cache.store(key_of(i), payload(4, double(i)));
   std::size_t resident = 0;
   for (std::uint64_t i = 0; i < kKeys; ++i)
-    if (cache.find<double>(key_of(i))) ++resident;
+    if (cache.find(key_of(i))) ++resident;
   EXPECT_LE(resident, 16u);
   EXPECT_GT(resident, 0u);
 }
@@ -187,9 +200,9 @@ TEST_F(ResultCacheTest, DiskHitTouchesMtimeSoHotRecordsSurvivePruning) {
   fs::last_write_time(record_path(key_of(1)), now - std::chrono::hours(3));
   fs::last_write_time(record_path(key_of(2)), now - std::chrono::hours(2));
   cache.clear_memory();
-  core::CacheProbe probe;
-  ASSERT_TRUE(cache.find<double>(key_of(1), &probe).has_value());
-  EXPECT_STREQ(probe.source, "disk");
+  const std::size_t disk_hits = core::result_cache_stats().disk_hits;
+  ASSERT_TRUE(cache.find(key_of(1)).has_value());
+  EXPECT_EQ(core::result_cache_stats().disk_hits, disk_hits + 1);
 
   core::configure_result_cache({.enabled = true,
                                 .disk = true,
@@ -305,12 +318,11 @@ TEST_F(ResultCacheTest, TruncatedRecordFallsBackToMiss) {
   const auto key = key_of(10);
   cache.store(key, payload(64, 2.0));
   cache.clear_memory();
-  fs::resize_file(record_path(key), 48 + 13);  // payload cut mid-element
+  fs::resize_file(record_path(key), 48 + 13);  // payload cut short
 
-  core::CacheProbe probe;
-  EXPECT_FALSE(cache.find<double>(key, &probe).has_value());
-  EXPECT_STREQ(probe.source, "corrupt");
+  EXPECT_FALSE(cache.find(key).has_value());
   EXPECT_EQ(core::result_cache_stats().corrupt_records, 1u);
+  EXPECT_EQ(core::result_cache_stats().misses, 1u);
 }
 
 TEST_F(ResultCacheTest, ShorterThanHeaderFallsBackToMiss) {
@@ -320,7 +332,7 @@ TEST_F(ResultCacheTest, ShorterThanHeaderFallsBackToMiss) {
   cache.clear_memory();
   fs::resize_file(record_path(key), 10);  // not even a full header
 
-  EXPECT_FALSE(cache.find<double>(key).has_value());
+  EXPECT_FALSE(cache.find(key).has_value());
   EXPECT_EQ(core::result_cache_stats().corrupt_records, 1u);
 }
 
@@ -331,9 +343,8 @@ TEST_F(ResultCacheTest, GarbagePayloadBytesFailChecksum) {
   cache.clear_memory();
   clobber(record_path(key), 48 + 17, 0xA5);  // flip one payload byte
 
-  core::CacheProbe probe;
-  EXPECT_FALSE(cache.find<double>(key, &probe).has_value());
-  EXPECT_STREQ(probe.source, "corrupt");
+  EXPECT_FALSE(cache.find(key).has_value());
+  EXPECT_EQ(core::result_cache_stats().corrupt_records, 1u);
 }
 
 TEST_F(ResultCacheTest, BadMagicFallsBackToMiss) {
@@ -343,9 +354,8 @@ TEST_F(ResultCacheTest, BadMagicFallsBackToMiss) {
   cache.clear_memory();
   clobber(record_path(key), 0, 'X');
 
-  core::CacheProbe probe;
-  EXPECT_FALSE(cache.find<double>(key, &probe).has_value());
-  EXPECT_STREQ(probe.source, "corrupt");
+  EXPECT_FALSE(cache.find(key).has_value());
+  EXPECT_EQ(core::result_cache_stats().corrupt_records, 1u);
 }
 
 TEST_F(ResultCacheTest, WrongVersionHeaderFallsBackToMiss) {
@@ -356,22 +366,23 @@ TEST_F(ResultCacheTest, WrongVersionHeaderFallsBackToMiss) {
   // The version field is the u32 at offset 4; kResultCacheVersion < 255.
   clobber(record_path(key), 4, 0xFF);
 
-  core::CacheProbe probe;
-  EXPECT_FALSE(cache.find<double>(key, &probe).has_value());
-  EXPECT_STREQ(probe.source, "version-skew");
+  EXPECT_FALSE(cache.find(key).has_value());
   EXPECT_EQ(core::result_cache_stats().version_skew, 1u);
+  EXPECT_EQ(core::result_cache_stats().corrupt_records, 0u);
 }
 
 TEST_F(ResultCacheTest, ElementSizeMismatchFallsBackToMiss) {
   auto& cache = core::ResultCache::instance();
   const auto key = key_of(15);
-  cache.store(key, payload(8, 7.0));  // stored as double
+  cache.store(key, payload(8, 7.0));
   cache.clear_memory();
+  // The element-size field is the u64 at offset 24, always 1 for byte
+  // payloads; a record claiming 8-byte elements is not one of ours.
+  clobber(record_path(key), 24, 8);
 
-  core::CacheProbe probe;
-  EXPECT_FALSE(cache.find<float>(key, &probe).has_value());  // asked as float
-  EXPECT_STREQ(probe.source, "type-mismatch");
+  EXPECT_FALSE(cache.find(key).has_value());
   EXPECT_EQ(core::result_cache_stats().type_mismatch, 1u);
+  EXPECT_EQ(core::result_cache_stats().corrupt_records, 0u);
 }
 
 TEST_F(ResultCacheTest, UnwritableCacheDirDegradesToMemoryOnly) {
@@ -391,94 +402,64 @@ TEST_F(ResultCacheTest, UnwritableCacheDirDegradesToMemoryOnly) {
   EXPECT_TRUE(cache.store(key, value));  // absorbed: memory still lands
   EXPECT_EQ(core::result_cache_stats().io_errors, 1u);
 
-  const auto mem = cache.find<double>(key);
+  const auto mem = cache.find(key);
   ASSERT_TRUE(mem.has_value());
   EXPECT_EQ(*mem, value);
 
   cache.clear_memory();
-  EXPECT_FALSE(cache.find<double>(key).has_value());  // no disk record exists
+  EXPECT_FALSE(cache.find(key).has_value());  // no disk record exists
 }
 
 TEST_F(ResultCacheTest, CorruptedSweepRecordNeverChangesSweepResults) {
-  const sim::Platform p = sim::broadwell(sim::EdramMode::kOn);
-  const core::DenseSweepRequest req{.kernel = core::KernelId::kGemm,
-                                    .n_lo = 256,
-                                    .n_hi = 2304,
-                                    .n_step = 1024,
-                                    .nb_lo = 128,
-                                    .nb_hi = 512,
-                                    .nb_step = 128};
-  const auto cold = core::sweep_dense(p, req);
+  const protocol::Request req = parse_ok(
+      R"({"type":"dense","platform":"broadwell-edram-on","kernel":"gemm",)"
+      R"("n_lo":256,"n_hi":2304,"n_step":1024,"nb_lo":128,"nb_hi":512,"nb_step":128})");
+  bool hit = true;
+  const std::string cold = protocol::escaped_sweep_payload(req, &hit);
+  EXPECT_FALSE(hit);
 
   auto& cache = core::ResultCache::instance();
   cache.clear_memory();
-  clobber(record_path(core::sweep_cache_key(p, req)), 48 + 3, 0x5A);
-  const auto after_fault = core::sweep_dense(p, req);  // recompute, no crash
-  EXPECT_TRUE(cold == after_fault);
+  clobber(record_path(protocol::payload_cache_key(req)), 48 + 3, 0x5A);
+  const std::string after_fault = protocol::escaped_sweep_payload(req, &hit);
+  EXPECT_FALSE(hit);  // recompute, no crash
+  EXPECT_EQ(cold, after_fault);
   EXPECT_GE(core::result_cache_stats().corrupt_records, 1u);
 
   // The recompute re-published a healthy record; the next cold process
   // (simulated by clearing memory) hits disk again.
   cache.clear_memory();
-  core::CacheProbe probe;
-  const auto healed =
-      cache.find<core::SweepPoint>(core::sweep_cache_key(p, req), &probe);
+  const std::size_t disk_hits = core::result_cache_stats().disk_hits;
+  const auto healed = cache.find(protocol::payload_cache_key(req));
   ASSERT_TRUE(healed.has_value());
-  EXPECT_STREQ(probe.source, "disk");
-  EXPECT_TRUE(cold == *healed);
+  EXPECT_EQ(core::result_cache_stats().disk_hits, disk_hits + 1);
+  EXPECT_EQ(cold, *healed);
 }
 
 // ------------------------------------------------------- sweep integration --
 
 TEST_F(ResultCacheTest, ColdAndWarmSweepsBitIdenticalAcrossWorkerCounts) {
-  const sim::Platform p = sim::knl(sim::McdramMode::kCache);
-  const auto suite = sparse::SyntheticCollection::test_suite(48, 200000);
-  const core::SparseSweepRequest req{.kernel = core::KernelId::kSptrsv};
+  const protocol::Request req =
+      parse_ok(R"({"type":"sparse","platform":"knl-cache","kernel":"sptrsv"})");
 
   core::set_sweep_workers(0);
-  const auto cold = core::sweep_sparse(p, req, suite);
+  bool hit = true;
+  const std::string cold = protocol::escaped_sweep_payload(req, &hit);
+  ASSERT_FALSE(hit);
 
   auto& cache = core::ResultCache::instance();
   for (std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
     core::set_sweep_workers(workers);
-    const auto warm_mem = core::sweep_sparse(p, req, suite);
-    EXPECT_TRUE(cold == warm_mem) << "memory tier, workers " << workers;
+    EXPECT_EQ(cold, protocol::escaped_sweep_payload(req, &hit))
+        << "memory tier, workers " << workers;
+    EXPECT_TRUE(hit);
     cache.clear_memory();
-    const auto warm_disk = core::sweep_sparse(p, req, suite);
-    EXPECT_TRUE(cold == warm_disk) << "disk tier, workers " << workers;
+    EXPECT_EQ(cold, protocol::escaped_sweep_payload(req, &hit))
+        << "disk tier, workers " << workers;
+    EXPECT_TRUE(hit);
+    // And a recompute under this worker count renders the same bytes.
+    EXPECT_EQ(cold, util::json_escape(protocol::execute(req))) << "workers " << workers;
   }
-}
-
-TEST_F(ResultCacheTest, SweepStatsCarryCacheTelemetry) {
-  const sim::Platform p = sim::broadwell(sim::EdramMode::kOff);
-  const core::FootprintSweepRequest req{
-      .kernel = core::KernelId::kStream, .fp_lo = 1e6, .fp_hi = 1e8, .points = 16};
-
-  core::drain_sweep_stats();
-  core::sweep_footprint_kernel(p, req);  // cold: compute, then store
-  auto stats = core::drain_sweep_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].name, "sweep_footprint:Stream");
-  EXPECT_EQ(stats[0].cache_misses, 1u);
-  EXPECT_EQ(stats[0].cache_hits, 0u);
-  EXPECT_EQ(stats[0].cache_source, "cold");
-  EXPECT_EQ(stats[0].cache_bytes_stored, 16 * sizeof(core::SweepPoint));
-  EXPECT_GT(stats[0].cache_seconds, 0.0);
-
-  core::sweep_footprint_kernel(p, req);  // warm: memory hit
-  stats = core::drain_sweep_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].cache_hits, 1u);
-  EXPECT_EQ(stats[0].cache_source, "memory");
-  EXPECT_EQ(stats[0].cache_bytes_loaded, 16 * sizeof(core::SweepPoint));
-  EXPECT_EQ(stats[0].items, 16u);
-  EXPECT_EQ(stats[0].tasks, 0u);  // no compute fan-out happened
-
-  core::ResultCache::instance().clear_memory();
-  core::sweep_footprint_kernel(p, req);  // warm: disk hit
-  stats = core::drain_sweep_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].cache_source, "disk");
 }
 
 // ------------------------------------------------------------------ hashing --

@@ -152,6 +152,35 @@ TEST(ProtocolV2, StatsAndPongRoundTrip) {
   EXPECT_EQ(protocol::render_view(env, pv), pong);
 }
 
+TEST(ProtocolV2, ParseResponseRejectsIntegerFieldsOutsideInt) {
+  // The router feeds backend socket bytes into parse_response, so every
+  // int field must be an integral number inside int's range: casting
+  // 1e999 (inf), -1e300 or 2.5 to int is undefined or lossy.
+  const std::string ok = R"({"v":2,"req_id":"r","shard":1,"ok":true,"type":"pong"})";
+  protocol::ResponseView view;
+  ASSERT_TRUE(protocol::parse_response(ok, &view));
+  for (const char* bad : {"1e999", "-1e300", "2.5"}) {
+    const std::string b = bad;
+    const std::string lines[] = {
+        R"({"v":)" + b + R"(,"req_id":"r","ok":true,"type":"pong"})",
+        R"({"v":2,"req_id":"r","shard":)" + b + R"(,"ok":true,"type":"pong"})",
+        R"({"v":2,"req_id":"r","ok":false,"error":{"category":"overload",)"
+        R"("message":"m","retry_after_ms":)" + b + "}}",
+        R"({"v":2,"req_id":"r","ok":false,"error":{"category":"redirect",)"
+        R"("message":"m","shard":)" + b + "}}",
+    };
+    for (const std::string& line : lines)
+      EXPECT_FALSE(protocol::parse_response(line, &view)) << line;
+  }
+  // In range and integral still parses, including the int extremes.
+  ASSERT_TRUE(protocol::parse_response(
+      R"({"v":2,"req_id":"r","ok":false,"error":{"category":"overload","message":"m",)"
+      R"("retry_after_ms":2147483647,"shard":-2147483648}})",
+      &view));
+  EXPECT_EQ(view.error.retry_after_ms, 2147483647);
+  EXPECT_EQ(view.error.shard, -2147483647 - 1);
+}
+
 TEST(ProtocolV2, V1RenderIsByteIdenticalToPreV2AndRoundTrips) {
   // The v1 convenience wrappers must keep the pre-envelope wire format:
   // no "v", no "shard", id spelled "id".
@@ -566,9 +595,10 @@ TEST_F(RouterTest, MultiShardDrainAnswersEverythingAdmitted) {
   for (const auto& line : responses) {
     protocol::ResponseView view;
     ASSERT_TRUE(protocol::parse_response(line, &view)) << line;
-    if (!view.ok)
+    if (!view.ok) {
       EXPECT_TRUE(view.error.category == "draining" || view.error.category == "internal")
           << line;
+    }
   }
 }
 

@@ -23,12 +23,14 @@
 
 #include <gtest/gtest.h>
 
+#include "advise/advise.hpp"
 #include "core/result_cache.hpp"
 #include "core/single_flight.hpp"
 #include "core/sweep.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "sim/window_sampler.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/socket.hpp"
@@ -185,6 +187,53 @@ TEST(Protocol, RequestKeyIgnoresIdButNotContent) {
   ASSERT_TRUE(serve::protocol::parse_request(
       R"({"type":"footprint","platform":"knl-cache","kernel":"stream"})", &d, &err));
   EXPECT_FALSE(serve::protocol::request_key(a) == serve::protocol::request_key(d));
+}
+
+TEST(Protocol, RequestKeysArePinnedDigests) {
+  // The request identity drives hash-ring placement, single-flight
+  // coalescing and the payload-cache keys (memory and .opmrec disk), so
+  // it must never drift silently: these literals pin request_key and
+  // payload_cache_key for fixed requests of every dispatched type. A
+  // deliberate change re-keys every cache and reshuffles the ring; bump
+  // core::kResultCacheVersion and update the literals together.
+  const bool saved_verify = advise::verify_enabled();
+  const sim::SamplingMode saved_sampling = sim::sampling_mode();
+  advise::set_verify_enabled(true);
+  sim::set_sampling_mode(sim::SamplingMode::kOff);
+  struct Pin {
+    const char* line;
+    const char* request_key;
+    const char* payload_key;
+  };
+  const Pin pins[] = {
+      {R"({"type":"dense","platform":"knl-flat","kernel":"gemm"})",
+       "38a739984c8f438ee1a02354545dd3a4", "ba16a28a6ea34a5d730b89598c059afb"},
+      {R"({"type":"dense","platform":"broadwell-edram-on","kernel":"cholesky","n_lo":512,)"
+       R"("n_hi":4096,"n_step":256.5})",
+       "cd918ab619b7e4f6c4b248fb79b265d3", "fffac14f6ecc629bc714616ec4ca8425"},
+      {R"({"type":"sparse","platform":"knl-cache","kernel":"spmv"})",
+       "0da27505f4fff3b6f243f090b133b418", "295375c1e2a312a8561a8470957cfd46"},
+      {R"({"type":"sparse","platform":"knl-hybrid","kernel":"sptrans","merge_based":true})",
+       "96734291428bee063d67ef3a86ba7f0c", "41f8cbca36b22bca2dba638b3d0d1e73"},
+      {R"({"type":"footprint","platform":"broadwell-edram-off","kernel":"stream"})",
+       "c9fbca5cbc25734ba4820ec8a53edc9a", "cd3b5bf6d5930c59dca69b31f8885e2a"},
+      {R"({"type":"footprint","platform":"knl-ddr","kernel":"fft","fp_lo":1048576,)"
+       R"("fp_hi":1e10,"points":17})",
+       "fa911f85fc87f9bbe677ef5fa2b225db", "7fdcbb2cf2c42b0133261ebd0431b620"},
+      {R"({"type":"advise","platform":"knl-ddr","kernel":"spmv"})",
+       "49e971de49e67f83da3ea141d3a1f067", "d4741cb438c0c2f9bf80c03862b2c553"},
+      {R"({"type":"advise","platform":"broadwell-edram-off","kernel":"gemm","objective":"energy"})",
+       "92430d80e5bcb2ee04c2c11dbbc4255e", "fed8cdb392f3d1eee50dd46a581db842"},
+  };
+  for (const Pin& pin : pins) {
+    Request req;
+    Error err;
+    ASSERT_TRUE(serve::protocol::parse_request(pin.line, &req, &err)) << err.message;
+    EXPECT_EQ(serve::protocol::request_key(req).hex(), pin.request_key) << pin.line;
+    EXPECT_EQ(serve::protocol::payload_cache_key(req).hex(), pin.payload_key) << pin.line;
+  }
+  advise::set_verify_enabled(saved_verify);
+  sim::set_sampling_mode(saved_sampling);
 }
 
 TEST(Protocol, ResponseEnvelopeRoundTrips) {

@@ -51,7 +51,8 @@ bool is_cxx_path(const std::string& norm) {
 /// One lexed input. Non-C++ inputs keep an empty token stream and are
 /// consulted as raw reference text only.
 struct Input {
-  std::string path;   // normalized
+  std::string path;   // normalized scope: every rule and pass classifies by this
+  std::string shown;  // the path as given, which findings are reported under
   std::string content;
   lex::Source lx;     // C++ inputs only
   bool cxx = false;
@@ -736,7 +737,8 @@ void pass_layering(const std::vector<Input>& inputs, Sink& sink) {
 //
 // Six line-oriented rules over one C++ file's classified lines (code with
 // literals collapsed, string contents, line-comment text — lexer.hpp).
-// Each has a path scope; scoping is by path substring, e.g. "util/rng."
+// Each has a path scope; scoping is by substring of the input's scope
+// path (relative to the scan root, see analyze_paths), e.g. "util/rng."
 // exempts the RNG implementation. Non-C++ inputs are never linted.
 
 bool is_ident(char c) {
@@ -1014,12 +1016,20 @@ const std::vector<PassInfo>& passes() {
   return infos;
 }
 
-Report analyze_sources(const std::vector<SourceFile>& sources) {
+namespace {
+
+/// Runs every pass. `scopes[i]` is the path that classifies sources[i]
+/// (analyze_paths: relative to its scan root); findings are reported
+/// under sources[i].path.
+Report analyze_scoped(const std::vector<SourceFile>& sources,
+                      const std::vector<std::string>& scopes) {
   std::vector<Input> inputs;
   inputs.reserve(sources.size());
-  for (const SourceFile& s : sources) {
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const SourceFile& s = sources[i];
     Input in;
-    in.path = normalized(s.path);
+    in.path = normalized(scopes[i]);
+    in.shown = s.path;
     in.content = s.content;
     in.cxx = is_cxx_path(in.path);
     if (in.cxx) in.lx = lex::lex(in.content);
@@ -1050,6 +1060,10 @@ Report analyze_sources(const std::vector<SourceFile>& sources) {
                                        found.size()});
     report.findings.insert(report.findings.end(), found.begin(), found.end());
   }
+  for (Finding& f : report.findings) {
+    auto it = by_path.find(f.file);
+    if (it != by_path.end()) f.file = it->second->shown;
+  }
   std::sort(report.findings.begin(), report.findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.pass, a.message) <
@@ -1058,28 +1072,56 @@ Report analyze_sources(const std::vector<SourceFile>& sources) {
   return report;
 }
 
+/// The root's own name: its last path component, whatever the spelling
+/// ("tests", "tests/", "./tests", "/abs/tests" and, run inside it, "."
+/// all name "tests").
+std::string root_name(const std::string& root) {
+  fs::path p = fs::absolute(root).lexically_normal();
+  if (p.filename().empty()) p = p.parent_path();
+  return p.filename().generic_string();
+}
+
+}  // namespace
+
+Report analyze_sources(const std::vector<SourceFile>& sources) {
+  std::vector<std::string> scopes;
+  for (const SourceFile& s : sources) scopes.push_back(s.path);
+  return analyze_scoped(sources, scopes);
+}
+
 Report analyze_paths(const std::vector<std::string>& roots) {
   std::vector<SourceFile> sources;
+  std::vector<std::string> scopes;
   std::vector<Finding> io;
-  std::vector<std::string> files;
+  std::vector<std::pair<std::string, std::string>> files;  // (as given, scope)
   for (const std::string& root : roots) {
     std::error_code ec;
     if (fs::is_regular_file(root, ec)) {
-      files.push_back(root);  // explicit file: any extension participates
+      files.emplace_back(root, root);  // explicit file: any extension participates
     } else if (fs::is_directory(root, ec)) {
+      const fs::path base = fs::path(root).lexically_normal();
+      const std::string name = root_name(root);
       for (fs::recursive_directory_iterator it(root, ec), end; it != end;
            it.increment(ec)) {
         if (ec) break;
-        if (it->is_regular_file(ec) && is_cxx_path(normalized(it->path().string())))
-          files.push_back(it->path().generic_string());
+        if (!it->is_regular_file(ec) || !is_cxx_path(normalized(it->path().string())))
+          continue;
+        const fs::path rel = it->path().lexically_normal().lexically_relative(base);
+        files.emplace_back(it->path().generic_string(), name + "/" + rel.generic_string());
       }
     } else {
       io.push_back(Finding{root, 0, "io", "path is not a file or directory"});
     }
   }
   std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
-  for (const std::string& file : files) {
+  files.erase(std::unique(files.begin(), files.end(),
+                          [](const auto& a, const auto& b) { return a.first == b.first; }),
+              files.end());
+  std::set<std::string> seen;
+  for (auto& [file, scope] : files) {
+    // Two roots of the same name (a/src, b/src) must not merge files:
+    // the later one is scoped by its path as given.
+    if (!seen.insert(normalized(scope)).second) scope = file;
     std::ifstream in(file, std::ios::binary);
     std::ostringstream buf;
     if (!in) {
@@ -1088,9 +1130,10 @@ Report analyze_paths(const std::vector<std::string>& roots) {
     }
     buf << in.rdbuf();
     sources.push_back(SourceFile{file, buf.str()});
+    scopes.push_back(scope);
   }
 
-  Report report = analyze_sources(sources);
+  Report report = analyze_scoped(sources, scopes);
   report.findings.insert(report.findings.begin(), io.begin(), io.end());
   return report;
 }

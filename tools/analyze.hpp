@@ -106,7 +106,11 @@ Report analyze_sources(const std::vector<SourceFile>& sources);
 
 /// Loads *.hpp/*.h/*.cpp/*.cc under the roots (files or directories,
 /// sorted for determinism) plus any explicitly-listed non-C++ files, then
-/// analyzes. Unreadable paths produce "io" findings.
+/// analyzes. A file found under a directory root is scoped by its path
+/// relative to that root, root name kept, so `opm_analyze /x/src/ck/tests`
+/// and `cd /x/src/ck && opm_analyze tests` classify the same; findings are
+/// reported under the path as given. An explicitly listed file is scoped
+/// by its path as given. Unreadable paths produce "io" findings.
 Report analyze_paths(const std::vector<std::string>& roots);
 
 /// CLI entry point (main() is a one-liner around this):

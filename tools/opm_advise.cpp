@@ -16,8 +16,9 @@
 // contract scripts/ci.sh pins.
 //
 // Sweep knobs (--sweep-workers, --cache-dir, --no-cache, ...) are the
-// shared core::resolve_sweep_config surface, so the verification sweeps
-// here hit the same result cache as the bench harnesses.
+// shared core::resolve_sweep_config surface, so an offline --json answer
+// is read from and stored in the same payload cache (advise_cache_key)
+// that opm_serve uses on that --cache-dir.
 
 #include <unistd.h>
 
