@@ -323,7 +323,7 @@ double run_router_topology(int nshards, const std::vector<std::string>& uniques,
   std::vector<std::string> backends;
   for (int s = 0; s < nshards; ++s) {
     serve::ServerConfig sc;
-    sc.socket_path = "rb-shard" + std::to_string(s) + "-" + tag + ".sock";
+    sc.listen_address = "unix:rb-shard" + std::to_string(s) + "-" + tag + ".sock";
     sc.max_line_bytes = 8 * 1024 * 1024;  // ~400 KB CSV payloads per response
     sc.dispatch.queue_depth = 1024;  // the bench measures throughput, not admission
     sc.dispatch.workers = 1;         // one executor per shard: N shards = N-way parallelism
@@ -335,7 +335,7 @@ double run_router_topology(int nshards, const std::vector<std::string>& uniques,
       std::cout << "router bench: cannot start shard " << s << ": " << error << "\n";
       return -1.0;
     }
-    backends.push_back("unix:" + sc.socket_path);
+    backends.push_back(sc.listen_address);
   }
   serve::RouterConfig rc;
   rc.listen_address = "unix:rb-router-" + tag + ".sock";
@@ -532,7 +532,7 @@ int main(int argc, char** argv) {
         "serve-loadgen-" + std::to_string(::getpid()) + ".sock";
     address = "unix:" + socket_path;
     serve::ServerConfig sc;
-    sc.socket_path = socket_path;
+    sc.listen_address = address;
     sc.dispatch.queue_depth = 256;  // the load phase measures coalescing, not admission
     sc.dispatch.workers = 4;
     server = std::make_unique<serve::Server>(sc);

@@ -76,7 +76,9 @@
 # figure, ablation and validation harness, cache off) and requires every
 # harness's stdout to hash to its entry in opmbench/digests.txt — the
 # result line must read "correct": true with no failed operation. It
-# builds its own Release tree (build-repro).
+# builds its own Release tree (build-repro). In `all` it runs before perf,
+# whose timing gates are the ones a noisy host can fail, so the artifact
+# gate always gets its verdict.
 #
 # Fail-fast: set -e aborts on the first failing job; the EXIT trap prints
 # a summary of which jobs ran and where the run stopped.
@@ -507,8 +509,8 @@ case "$mode" in
              run_job cache run_cache
              run_job serve run_serve
              run_job advise run_advise
-             run_job perf run_perf
-             run_job repro run_repro ;;
+             run_job repro run_repro
+             run_job perf run_perf ;;
   *) echo "usage: $0 [static|thread|address|undefined|cache|serve|advise|perf|repro|all]" >&2; exit 2 ;;
 esac
 

@@ -1,41 +1,37 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
-
-#include "serve/router.hpp"
-#include "serve/server.hpp"
 
 namespace opm::util {
 class Cli;
 }
 
-/// One options surface for the whole serve tier. `opm_serve`,
-/// `opm_router`, and `bench/serve_loadgen` used to each hand-roll their
-/// flag parsing; they now all resolve through serve::Options, so a flag
-/// means the same thing everywhere it appears:
+/// One options surface for the serve binaries: `opm_serve` and
+/// `opm_router` resolve their flags through serve::Options, so a flag
+/// means the same thing in both. Integer flags take a base-10 value in
+/// the range shown; anything else is an error.
 ///
 ///   --listen=ADDR          listener (unix:PATH | HOST:PORT; port 0 = ephemeral)
 ///   --socket=PATH          pre-v2 spelling of --listen=unix:PATH
-///   --connect=ADDR         peer to talk to (loadgen; router backends use --shards)
 ///   --shards=A,B,...       backend shard addresses, comma-separated; index = shard id
-///   --ring-shards=N        ring view size (default: number of backends / shard-count)
-///   --shard-id=N           this server's shard identity
-///   --shard-count=N        total shards (enables ownership redirects)
+///   --ring-shards=N        ring view size, 0..1024 (0: number of backends)
+///   --shard-id=N           this server's shard identity, below --shard-count (or 0..1023)
+///   --shard-count=N        total shards, 0..1024 (> 0 enables ownership redirects)
 ///   --token=SECRET         shared-secret hello auth on TCP listeners,
 ///                          and the credential clients/router present
-///   --quota=N              per-client queued-request quota (0 = none)
-///   --queue-depth=N        global admission bound
-///   --serve-workers=N      dispatcher executor threads
-///   --retry-after-ms=N     backoff hint in rejections
-///   --max-line-bytes=N     request line limit
-///   --max-redirects=N      router: redirect hops to follow
+///   --quota=N              per-client queued-request quota, 0..2^20 (0 = none)
+///   --queue-depth=N        global admission bound, 1..2^20
+///   --serve-workers=N      dispatcher executor threads, 1..256
+///   --retry-after-ms=N     backoff hint in rejections, 0..3600000
+///   --max-line-bytes=N     request line limit, 1..2^30
+///   --max-redirects=N      router: redirect hops to follow, 0..16
 ///   --stdio                opm_serve: serve stdin→stdout once
 namespace opm::serve {
 
 struct Options {
   std::string listen = "unix:opm-serve.sock";
-  std::string connect;
   std::vector<std::string> shards;
   int ring_shards = 0;
   int shard_id = 0;
@@ -50,11 +46,16 @@ struct Options {
   bool stdio = false;
 };
 
-/// Resolves the shared flag surface (defaults above, overridden by CLI).
-Options resolve_options(const util::Cli& cli);
+/// Resolves the flag surface above (defaults, overridden by CLI) into
+/// *out. False + *error on an unparsable or out-of-range integer flag.
+bool resolve_options(const util::Cli& cli, Options* out, std::string* error);
 
-/// The server/router configs an Options implies.
-ServerConfig to_server_config(const Options& opt);
-RouterConfig to_router_config(const Options& opt);
+/// The mains' shared run step: build the service, start it, route
+/// SIGTERM/SIGINT to its drain pipe, log "<binary> listening on ADDR" (a
+/// HOST:0 address re-rendered with the bound port), block until drained,
+/// log "<binary> drained cleanly". run_server serves stdin→stdout instead
+/// under --stdio. Returns the exit code: 0, or 1 when start fails.
+int run_server(const Options& opt);
+int run_router(const Options& opt);
 
 }  // namespace opm::serve

@@ -136,6 +136,11 @@ struct Error {
   int shard = -1;         ///< redirect only: the owning shard id
 };
 
+/// An error of one of the kinds above.
+inline Error make_error(const char* category, std::string message, int retry_after_ms = 0) {
+  return Error{category, std::move(message), retry_after_ms};
+}
+
 /// The response-envelope identity of a request: which version to speak,
 /// which token to echo, and (v2) which shard is answering. Every render
 /// function takes one, so the dispatcher and the router produce

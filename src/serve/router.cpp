@@ -1,28 +1,23 @@
 #include "serve/router.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <csignal>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "serve/conn.hpp"
+#include "serve/listener.hpp"
 #include "serve/protocol.hpp"
-#include "util/logging.hpp"
 #include "util/metrics.hpp"
 #include "util/mutex.hpp"
 
 namespace opm::serve {
+
+using protocol::make_error;
 
 HashRing::HashRing(int shards, int vnodes) : shards_(shards) {
   if (shards <= 0 || vnodes <= 0) return;
@@ -48,36 +43,6 @@ int HashRing::lookup(const util::Digest128& key) const {
   return it->second;
 }
 
-namespace {
-
-protocol::Error make_error(const char* category, std::string message, int retry_after_ms = 0) {
-  protocol::Error e;
-  e.category = category;
-  e.message = std::move(message);
-  e.retry_after_ms = retry_after_ms;
-  return e;
-}
-
-/// Reads one '\n'-terminated line from a blocking fd (the backend hello
-/// handshake — the only synchronous read the router does).
-bool read_line_blocking(int fd, std::string* out) {
-  out->clear();
-  char c;
-  for (;;) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    if (c == '\n') return true;
-    out->push_back(c);
-    if (out->size() > 1 << 20) return false;
-  }
-}
-
-}  // namespace
-
 struct Router::Impl {
   explicit Impl(const RouterConfig& cfg)
       : config(cfg),
@@ -88,12 +53,11 @@ struct Router::Impl {
         redirects_followed(
             util::MetricsRegistry::instance().counter("router.redirects_followed")),
         errors_protocol(util::MetricsRegistry::instance().counter("router.errors_protocol")),
-        rejected_auth(util::MetricsRegistry::instance().counter("router.rejected_auth")),
-        backend_errors(util::MetricsRegistry::instance().counter("router.backend_errors")) {
-    std::string error;
-    if (!util::parse_address(config.listen_address, &listen, &error))
-      listen_parse_error = error;
-  }
+        backend_errors(util::MetricsRegistry::instance().counter("router.backend_errors")),
+        listener(cfg.listen_address, cfg.auth_token, cfg.max_line_bytes, errors_protocol,
+                 util::MetricsRegistry::instance().counter("router.rejected_auth"),
+                 [this](const std::shared_ptr<Conn>& conn, std::uint64_t,
+                        std::string_view line) { return handle_line(line, conn); }) {}
 
   RouterConfig config;
   HashRing ring;
@@ -103,28 +67,7 @@ struct Router::Impl {
   util::Counter& responses;
   util::Counter& redirects_followed;
   util::Counter& errors_protocol;
-  util::Counter& rejected_auth;
   util::Counter& backend_errors;
-
-  util::SocketAddress listen;
-  std::string listen_parse_error;
-  bool auth_required = false;
-
-  int listen_fd = -1;
-  int listen_port = -1;
-  int pipe_r = -1;
-  int pipe_w = -1;
-  std::thread accept_thread;
-  bool started = false;
-  bool waited = false;
-
-  /// One persistent connection + reader per backend shard.
-  std::vector<std::shared_ptr<Conn>> backends;
-  std::vector<std::thread> backend_readers;
-
-  util::Mutex conns_mutex;
-  std::vector<std::shared_ptr<Conn>> conns OPM_GUARDED_BY(conns_mutex);
-  std::vector<std::thread> readers OPM_GUARDED_BY(conns_mutex);
 
   /// A forwarded request awaiting its backend response, keyed by the
   /// router-assigned wire id ("g<seq>").
@@ -142,6 +85,18 @@ struct Router::Impl {
   bool draining OPM_GUARDED_BY(pending_mutex) = false;
   std::atomic<std::uint64_t> next_wire_id{1};
 
+  /// One persistent connection per backend shard, with the framing that
+  /// read its hello reply and the pump that reads everything after.
+  struct Backend {
+    std::shared_ptr<Conn> conn;
+    LineReader lines{-1, 0};
+    std::thread pump;
+  };
+  std::vector<Backend> backends;
+
+  /// Last member: destroyed first, so no client reader outlives the rest.
+  Listener listener;
+
   void answer(const std::shared_ptr<Conn>& client, std::string line) {
     responses.add(1);
     client->write_line(std::move(line));
@@ -151,7 +106,7 @@ struct Router::Impl {
   /// unusable target the client gets a structured error instead.
   void forward(Pending p, int target) {
     if (target < 0 || target >= static_cast<int>(backends.size()) ||
-        !backends[static_cast<std::size_t>(target)]->is_open()) {
+        !backends[static_cast<std::size_t>(target)].conn->is_open()) {
       backend_errors.add(1);
       answer(p.client,
              protocol::render_error(
@@ -165,7 +120,7 @@ struct Router::Impl {
     p.target = target;
     protocol::Request copy = p.req;
     copy.id = wire_id;
-    const std::shared_ptr<Conn> backend = backends[static_cast<std::size_t>(target)];
+    const std::shared_ptr<Conn> backend = backends[static_cast<std::size_t>(target)].conn;
     {
       util::MutexLock lock(pending_mutex);
       pending.emplace(wire_id, std::move(p));
@@ -175,7 +130,7 @@ struct Router::Impl {
   }
 
   /// Handles one backend response line (any backend; wire ids are global).
-  void on_backend_line(const std::string& line) {
+  void on_backend_line(std::string_view line) {
     protocol::ResponseView view;
     if (!protocol::parse_response(line, &view)) {
       backend_errors.add(1);
@@ -207,13 +162,11 @@ struct Router::Impl {
   /// Backend reader thread: pumps responses until the backend dies, then
   /// fails every request still pending on that shard so drains and
   /// clients never hang on a dead backend.
-  void backend_reader_main(int shard) {
-    const std::shared_ptr<Conn> backend = backends[static_cast<std::size_t>(shard)];
-    for_each_line(backend->read_fd(), config.max_line_bytes, [&](const std::string& line) {
-      on_backend_line(line);
-      return true;
-    });
-    backend->close_fd();
+  void pump_main(int shard) {
+    Backend& backend = backends[static_cast<std::size_t>(shard)];
+    std::string_view line;
+    while (backend.lines.next(&line) == LineReader::Status::kLine) on_backend_line(line);
+    backend.conn->close_fd();
     std::vector<std::pair<std::string, Pending>> orphaned;
     {
       util::MutexLock lock(pending_mutex);
@@ -248,8 +201,7 @@ struct Router::Impl {
 
   /// Handles one client request line. Returns false when the connection
   /// must close (auth failure).
-  bool handle_line(const std::string& line, const std::shared_ptr<Conn>& conn) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) return true;
+  bool handle_line(std::string_view line, const std::shared_ptr<Conn>& conn) {
     requests.add(1);
     protocol::Request req;
     protocol::Error err;
@@ -259,25 +211,11 @@ struct Router::Impl {
       return true;
     }
     const protocol::Envelope env = protocol::envelope_of(req);
-    if (req.type == protocol::RequestType::kHello) {
-      if (!auth_required || req.token == config.auth_token) {
-        conn->set_authed(true);
-        answer(conn, protocol::render_hello_ok(env));
-        return true;
-      }
-      rejected_auth.add(1);
-      answer(conn, protocol::render_error(
-                       env, make_error("auth", "hello token does not match; closing connection")));
-      return false;
-    }
-    if (auth_required && !conn->is_authed()) {
-      rejected_auth.add(1);
-      answer(conn,
-             protocol::render_error(
-                 env, make_error("auth",
-                                 "this listener requires a {\"type\":\"hello\",\"token\":...} "
-                                 "first; closing connection")));
-      return false;
+    std::string reply;
+    const Listener::Verdict verdict = listener.gate(*conn, req, env, &reply);
+    if (verdict != Listener::Verdict::kPass) {
+      answer(conn, std::move(reply));
+      return verdict == Listener::Verdict::kAnswered;
     }
     if (req.type == protocol::RequestType::kPing) {
       answer(conn, protocol::render_pong(env));
@@ -307,145 +245,79 @@ struct Router::Impl {
     return true;
   }
 
-  void reader_main(std::shared_ptr<Conn> conn) {
-    const bool intact =
-        for_each_line(conn->read_fd(), config.max_line_bytes,
-                      [&](const std::string& line) { return handle_line(line, conn); });
-    if (!intact) {
-      errors_protocol.add(1);
-      conn->write_line(protocol::render_error(
-          "", make_error("oversized",
-                         "request line exceeds " + std::to_string(config.max_line_bytes) +
-                             " bytes; closing connection")));  // opm-lint: allow(float-print) — integer limit
-    }
-    conn->close_fd();
-  }
-
-  void accept_loop() {
-    for (;;) {
-      pollfd fds[2] = {{listen_fd, POLLIN, 0}, {pipe_r, POLLIN, 0}};
-      const int rc = ::poll(fds, 2, -1);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        util::log_error(std::string("opm_router: poll failed: ") + std::strerror(errno));
-        return;
-      }
-      if (fds[1].revents != 0) return;  // drain requested
-      if ((fds[0].revents & POLLIN) == 0) continue;
-      const int cfd = ::accept(listen_fd, nullptr, nullptr);
-      if (cfd < 0) continue;
-      auto conn = std::make_shared<Conn>();
-      conn->init(cfd, /*socket=*/true, /*owns=*/true);
-      util::MutexLock lock(conns_mutex);
-      conns.push_back(conn);
-      readers.emplace_back([this, conn] { reader_main(conn); });
-    }
-  }
-
-  /// Connects one backend and, for TCP backends with a configured token,
-  /// runs the hello handshake synchronously so auth failures surface at
-  /// start() instead of as hung requests.
+  /// Connects one backend and starts its pump. For TCP backends with a
+  /// configured token the hello handshake runs first, synchronously, so
+  /// auth failures surface at start() instead of as hung requests.
   bool connect_backend(std::size_t shard, std::string* error) {
     util::SocketAddress addr;
     if (!util::parse_address(config.backends[shard], &addr, error)) return false;
     const int fd = util::connect_to(addr, error);
     if (fd < 0) return false;
-    auto conn = std::make_shared<Conn>();
-    conn->init(fd, /*socket=*/true, /*owns=*/true);
+    Backend& backend = backends[shard];
+    backend.conn = std::make_shared<Conn>();
+    backend.conn->init(fd, /*socket=*/true);
+    backend.lines = LineReader(fd, config.max_line_bytes);
     if (addr.kind == util::SocketAddress::Kind::kTcp && !config.backend_token.empty()) {
       protocol::Request hello;
       hello.type = protocol::RequestType::kHello;
       hello.version = 2;
       hello.id = "hello";
       hello.token = config.backend_token;
-      conn->write_line(protocol::render_request(hello));
-      std::string reply;
+      backend.conn->write_line(protocol::render_request(hello));
+      std::string_view reply;
       protocol::ResponseView view;
-      if (!read_line_blocking(fd, &reply) || !protocol::parse_response(reply, &view) ||
-          !view.ok) {
+      if (backend.lines.next(&reply) != LineReader::Status::kLine ||
+          !protocol::parse_response(reply, &view) || !view.ok) {
         if (error) *error = "backend " + addr.to_string() + " rejected the hello handshake";
-        conn->close_fd();
+        backend.conn->close_fd();
         return false;
       }
     }
-    backends[shard] = std::move(conn);
+    backend.pump = std::thread([this, shard] { pump_main(static_cast<int>(shard)); });
     return true;
+  }
+
+  /// Shuts down every backend connection and joins its pump, which
+  /// closes the fd.
+  void stop_backends() {
+    for (Backend& b : backends)
+      if (b.conn) b.conn->request_close();
+    for (Backend& b : backends)
+      if (b.pump.joinable()) b.pump.join();
   }
 };
 
 Router::Router(const RouterConfig& config) : impl_(new Impl(config)) {}
 
 Router::~Router() {
-  if (impl_->started && !impl_->waited) {
-    request_drain();
-    wait();
-  }
-  if (impl_->pipe_r >= 0) ::close(impl_->pipe_r);
-  if (impl_->pipe_w >= 0) ::close(impl_->pipe_w);
+  request_drain();  // no-op before start(); wait() is a no-op once drained
+  wait();
   delete impl_;
 }
 
 bool Router::start(std::string* error) {
-  ::signal(SIGPIPE, SIG_IGN);
-  if (!impl_->listen_parse_error.empty()) {
-    if (error) *error = impl_->listen_parse_error;
-    return false;
-  }
   if (impl_->config.backends.empty()) {
     if (error) *error = "router needs at least one backend shard";
     return false;
   }
-  int p[2];
-  if (::pipe(p) != 0) {
-    if (error) *error = std::string("pipe: ") + std::strerror(errno);
-    return false;
-  }
-  impl_->pipe_r = p[0];
-  impl_->pipe_w = p[1];
-
   impl_->backends.resize(impl_->config.backends.size());
-  for (std::size_t i = 0; i < impl_->config.backends.size(); ++i) {
-    if (!impl_->connect_backend(i, error)) return false;
-  }
-  for (std::size_t i = 0; i < impl_->backends.size(); ++i) {
-    impl_->backend_readers.emplace_back(
-        [this, i] { impl_->backend_reader_main(static_cast<int>(i)); });
-  }
-
-  impl_->listen_fd = util::listen_on(impl_->listen, error);
-  if (impl_->listen_fd < 0) return false;
-  if (impl_->listen.kind == util::SocketAddress::Kind::kTcp) {
-    impl_->listen_port = util::bound_port(impl_->listen_fd);
-    impl_->auth_required = !impl_->config.auth_token.empty();
-  }
-  impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });
-  impl_->started = true;
-  return true;
+  bool ok = true;
+  for (std::size_t i = 0; ok && i < impl_->backends.size(); ++i)
+    ok = impl_->connect_backend(i, error);
+  if (ok && impl_->listener.start(error)) return true;
+  impl_->stop_backends();
+  return false;
 }
 
-int Router::bound_port() const { return impl_->listen_port; }
+int Router::bound_port() const { return impl_->listener.bound_port(); }
 
-int Router::drain_fd() const { return impl_->pipe_w; }
+int Router::drain_fd() const { return impl_->listener.drain_fd(); }
 
-void Router::request_drain() {
-  const char byte = 'd';
-  if (impl_->pipe_w >= 0) {
-    ssize_t rc;
-    do {
-      rc = ::write(impl_->pipe_w, &byte, 1);
-    } while (rc < 0 && errno == EINTR);
-  }
-}
+void Router::request_drain() { impl_->listener.request_drain(); }
 
 void Router::wait() {
-  if (!impl_->started || impl_->waited) return;
-  impl_->waited = true;
-  // 1. Stop accepting new connections and new forwards.
-  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
-  ::close(impl_->listen_fd);
-  impl_->listen_fd = -1;
-  if (impl_->listen.kind == util::SocketAddress::Kind::kUnix)
-    ::unlink(impl_->listen.path.c_str());
+  // 1. Stop accepting new connections.
+  if (!impl_->listener.stop_accepting()) return;
   // 2. Let every already-forwarded request come back. New sweep requests
   //    from still-open clients are rejected as "draining".
   {
@@ -453,19 +325,9 @@ void Router::wait() {
     impl_->draining = true;
     while (!impl_->pending.empty()) impl_->pending_cv.wait(impl_->pending_mutex);
   }
-  // 3. Tear down client connections, then backend connections.
-  std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<std::thread> readers;
-  {
-    util::MutexLock lock(impl_->conns_mutex);
-    conns.swap(impl_->conns);
-    readers.swap(impl_->readers);
-  }
-  for (const auto& conn : conns) conn->request_close();
-  for (auto& t : readers) t.join();
-  for (const auto& backend : impl_->backends) backend->request_close();
-  for (auto& t : impl_->backend_readers) t.join();
-  impl_->backend_readers.clear();
+  // 3. Close client connections, then backend connections.
+  impl_->listener.close_all();
+  impl_->stop_backends();
 }
 
 std::string Router::stats_json() const { return impl_->stats(); }

@@ -32,7 +32,8 @@
 /// Control plane: ping and stats are answered by the router itself —
 /// stats reports the router's own counters ("router." prefix), not an
 /// aggregate over shards, so observability works even with every backend
-/// down. hello gates TCP listeners exactly like the server.
+/// down. The client side is the server's own serve::Listener
+/// (serve/listener.hpp): same framing, same hello gate, same reaping.
 namespace opm::serve {
 
 /// Deterministic consistent-hash ring: `vnodes` virtual points per shard,
@@ -94,8 +95,8 @@ class Router {
   void request_drain();
 
   /// Blocks until a drain is requested, then: stop accepting, wait for
-  /// every forwarded request to be answered, close backend connections,
-  /// join all threads.
+  /// every forwarded request to be answered, close the live client
+  /// connections, close backend connections, join all threads.
   void wait();
 
   /// {"pending":N,"router":{...}} — the router's own counters.

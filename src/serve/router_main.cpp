@@ -1,11 +1,6 @@
-#include <unistd.h>
-
-#include <atomic>
-#include <csignal>
 #include <string>
 
 #include "serve/options.hpp"
-#include "serve/router.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 
@@ -23,51 +18,18 @@
 /// on a standalone server. --token both gates the router's own TCP
 /// listener and is presented to TCP backends as the hello credential.
 /// SIGTERM/SIGINT drains: stop accepting, let forwarded requests come
-/// back, exit 0.
-
-namespace {
-
-std::atomic<int> g_drain_fd{-1};
-
-extern "C" void on_terminate(int) {
-  const int fd = g_drain_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 'd';
-    [[maybe_unused]] const ssize_t rc = ::write(fd, &byte, 1);
-  }
-}
-
-}  // namespace
+/// back, exit 0. An unparsable or out-of-range integer flag is reported
+/// and exits 2.
 
 int main(int argc, char** argv) {
   using namespace opm;
   const util::Cli cli(argc, argv);
-  serve::Options opt = serve::resolve_options(cli);
-  if (!cli.has("listen") && !cli.has("socket")) opt.listen = "unix:opm-router.sock";
-
-  serve::Router router(serve::to_router_config(opt));
+  serve::Options opt;
   std::string error;
-  if (!router.start(&error)) {
+  if (!serve::resolve_options(cli, &opt, &error)) {
     util::log_error("opm_router: " + error);
-    return 1;
+    return 2;
   }
-  g_drain_fd.store(router.drain_fd(), std::memory_order_relaxed);
-
-  struct sigaction sa = {};
-  sa.sa_handler = on_terminate;
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-
-  std::string where = opt.listen;
-  if (router.bound_port() >= 0) {
-    const std::size_t colon = where.rfind(':');
-    where = where.substr(0, colon + 1) +
-            std::to_string(router.bound_port());  // opm-lint: allow(float-print) — integer port
-  }
-  util::log_info("opm_router listening on " + where + " (" +
-                 std::to_string(opt.shards.size()) +  // opm-lint: allow(float-print) — integer count
-                 " shards)");
-  router.wait();
-  util::log_info("opm_router drained cleanly");
-  return 0;
+  if (!cli.has("listen") && !cli.has("socket")) opt.listen = "unix:opm-router.sock";
+  return serve::run_router(opt);
 }

@@ -1,13 +1,7 @@
-#include <unistd.h>
-
-#include <atomic>
-#include <csignal>
-#include <cstdlib>
 #include <string>
 
 #include "core/sweep_config.hpp"
 #include "serve/options.hpp"
-#include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 
@@ -30,61 +24,23 @@
 /// With --shard-count, requests this shard does not own are redirected.
 /// SIGTERM/SIGINT triggers a graceful drain: stop accepting, finish
 /// in-flight work, exit 0. With --stdio it instead serves stdin→stdout
-/// once and exits when stdin closes.
+/// once and exits when stdin closes. An unparsable or out-of-range
+/// integer flag is reported and exits 2.
 ///
 /// The sweep knobs are the same defaults → environment → CLI resolution
 /// the bench harnesses use (core::resolve_sweep_config), so a server and
 /// an offline run configured alike share one on-disk result cache.
-
-namespace {
-
-std::atomic<int> g_drain_fd{-1};
-
-extern "C" void on_terminate(int) {
-  const int fd = g_drain_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 'd';
-    // Async-signal-safe; the accept loop wakes on the pipe.
-    [[maybe_unused]] const ssize_t rc = ::write(fd, &byte, 1);
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace opm;
   core::apply_sweep_config(core::resolve_sweep_config(argc, argv));
 
   const util::Cli cli(argc, argv);
-  const serve::Options opt = serve::resolve_options(cli);
-  serve::Server server(serve::to_server_config(opt));
-
-  if (opt.stdio) {
-    server.serve_stream(0, 1);
-    return 0;
-  }
-
+  serve::Options opt;
   std::string error;
-  if (!server.start(&error)) {
+  if (!serve::resolve_options(cli, &opt, &error)) {
     util::log_error("opm_serve: " + error);
-    return 1;
+    return 2;
   }
-  g_drain_fd.store(server.drain_fd(), std::memory_order_relaxed);
-
-  struct sigaction sa = {};
-  sa.sa_handler = on_terminate;
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-
-  std::string where = opt.listen;
-  if (server.bound_port() >= 0) {
-    // Re-render with the actual port so HOST:0 callers can discover it.
-    const std::size_t colon = where.rfind(':');
-    where = where.substr(0, colon + 1) +
-            std::to_string(server.bound_port());  // opm-lint: allow(float-print) — integer port
-  }
-  util::log_info("opm_serve listening on " + where);
-  server.wait();
-  util::log_info("opm_serve drained cleanly");
-  return 0;
+  return serve::run_server(opt);
 }

@@ -5,46 +5,28 @@
 
 #include "serve/dispatcher.hpp"
 
-/// Transport layer of the sweep service: a Unix-domain or TCP listener
-/// with newline framing, plus a single-stream mode (serve_stream) that
-/// drives the same line-handling path over any pair of file descriptors —
-/// that is what `opm_serve --stdio` and the pipe-based tests use.
-///
-/// Framing and fault policy per connection:
-///   * one request per '\n'-terminated line; blank lines are ignored;
-///   * a line longer than max_line_bytes gets an "oversized" error and the
-///     connection is closed (framing is lost, resync is not possible);
-///   * malformed JSON / invalid requests get structured errors and the
-///     connection stays open — framing is intact;
-///   * a client that disconnects mid-request is fine: its pending
-///     responses are dropped on the floor, never written to a dead fd.
-///
-/// TCP listeners ("HOST:PORT" in listen_address) add two policies the
-/// local Unix socket never needed:
-///   * shared-secret auth: when auth_token is non-empty, the first
-///     request on every TCP connection must be
-///     {"type":"hello","token":"<secret>"} — anything else (or a wrong
-///     token) gets an "auth" error and the connection is closed. Unix and
-///     --stdio streams are local trust and skip the check (hello still
-///     answers, so clients can probe either transport uniformly).
-///   * per-peer client identity: connections from the same IPv4 address
-///     share one dispatcher client id, so per-client quotas and fairness
-///     apply to the peer, not to each of its sockets.
+/// Transport layer of the sweep service: a serve::Listener (Unix-domain
+/// or TCP; its header states the framing, fault and auth policy) feeding
+/// the dispatcher, plus a single-stream mode (serve_stream) that drives
+/// the same line-handling path over any pair of file descriptors — that
+/// is what `opm_serve --stdio` and the pipe-based tests use. Malformed
+/// JSON and invalid requests get structured errors and the connection
+/// stays open. Connections from the same TCP peer (IPv4 address) share
+/// one dispatcher client id, so per-client quotas and fairness apply to
+/// the peer, not to each of its sockets.
 ///
 /// Graceful drain (SIGTERM path): the signal handler writes one byte to
 /// drain_fd() (async-signal-safe). wait() then unblocks and runs the
 /// sequence — stop accepting, unlink the socket, drain the dispatcher
 /// (queued + in-flight finish; new submits are rejected as "draining"),
-/// close connections, join every thread, return. The process exits 0 with
-/// no orphaned socket file. The result cache's disk tier is write-through,
-/// so no separate flush step exists or is needed.
+/// close the live connections, join every thread, return. The process
+/// exits 0 with no orphaned socket file. The result cache's disk tier is
+/// write-through, so no separate flush step exists or is needed.
 namespace opm::serve {
 
 struct ServerConfig {
-  /// Listener in util::parse_address grammar ("unix:PATH" or
-  /// "HOST:PORT"); when empty, socket_path is used as a unix path.
-  std::string listen_address;
-  std::string socket_path = "opm-serve.sock";  ///< pre-v2 spelling, unix only
+  /// Listener in util::parse_address grammar ("unix:PATH" or "HOST:PORT").
+  std::string listen_address = "unix:opm-serve.sock";
   std::string auth_token;  ///< TCP hello secret; empty = open listener
   std::size_t max_line_bytes = 256 * 1024;
   DispatchConfig dispatch;
@@ -62,17 +44,13 @@ class Server {
   /// refused, ...).
   bool start(std::string* error = nullptr);
 
-  /// The port a TCP listener actually bound (for "HOST:0" ephemeral
-  /// binds), or -1 for unix listeners / before start().
+  /// The port a TCP listener actually bound ("HOST:0" binds), or -1.
   int bound_port() const;
 
-  /// Write end of the self-pipe: write any byte to request a drain.
-  /// Async-signal-safe by construction — this is what the SIGTERM handler
-  /// uses.
+  /// Write end of the self-pipe: any byte requests a drain.
+  /// Async-signal-safe; this is what the SIGTERM handler uses.
   int drain_fd() const;
-
-  /// Programmatic equivalent of the signal: nudges the accept loop to
-  /// begin the drain sequence.
+  /// Programmatic equivalent of the signal.
   void request_drain();
 
   /// Blocks until a drain is requested, then runs the full drain sequence

@@ -27,10 +27,14 @@
 #include "core/result_cache.hpp"
 #include "core/single_flight.hpp"
 #include "core/sweep.hpp"
+#include "proc_footprint.hpp"
 #include "serve/dispatcher.hpp"
+#include "serve/listener.hpp"
+#include "serve/options.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/window_sampler.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/socket.hpp"
@@ -790,15 +794,52 @@ std::string test_socket_path(const char* tag) {
   return std::string("test-serve-") + tag + "-" + std::to_string(::getpid()) + ".sock";
 }
 
+TEST(LineReader, FramesLinesSplitAcrossReadsAndFlagsOversized) {
+  int p[2];
+  ASSERT_EQ(::pipe(p), 0);
+  // Lines split at arbitrary read boundaries, several lines in one read,
+  // an empty line, and a partial last line that EOF drops.
+  std::thread writer([&] {  // opm-lint: allow(thread-ownership) — the pipe's far end
+    for (const char* chunk : {"al", "pha\nbe", "ta\n\ngam", "ma\nde", "lta"}) {
+      ASSERT_EQ(::write(p[1], chunk, std::strlen(chunk)),
+                static_cast<ssize_t>(std::strlen(chunk)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ::close(p[1]);
+  });
+  serve::LineReader reader(p[0], 16);
+  std::vector<std::string> lines;
+  std::string_view line;
+  serve::LineReader::Status status;
+  while ((status = reader.next(&line)) == serve::LineReader::Status::kLine)
+    lines.emplace_back(line);
+  writer.join();
+  ::close(p[0]);
+  EXPECT_EQ(status, serve::LineReader::Status::kEof);
+  EXPECT_EQ(lines, (std::vector<std::string>{"alpha", "beta", "", "gamma"}));
+
+  // A line over the limit is flagged whether or not its newline has
+  // arrived: framing is lost either way.
+  for (const std::string& input : {std::string(17, 'x') + "\n", std::string(40, 'x')}) {
+    ASSERT_EQ(::pipe(p), 0);
+    ASSERT_EQ(::write(p[1], input.data(), input.size()), static_cast<ssize_t>(input.size()));
+    ::close(p[1]);
+    serve::LineReader oversized(p[0], 16);
+    EXPECT_EQ(oversized.next(&line), serve::LineReader::Status::kOversized) << input.size();
+    ::close(p[0]);
+  }
+}
+
 TEST_F(ServeTest, ServerAnswersOverUnixSocket) {
+  const std::string path = test_socket_path("basic");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("basic");
+  sc.listen_address = "unix:" + path;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
   TestClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
 
   // A sweep request, byte-identical to the offline library output.
   const std::string line =
@@ -917,15 +958,16 @@ TEST_F(ServeTest, TcpListenerGatesConnectionsBehindHelloToken) {
 }
 
 TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
+  const std::string path = test_socket_path("oversized");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("oversized");
+  sc.listen_address = "unix:" + path;
   sc.max_line_bytes = 128;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
   TestClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
   ASSERT_TRUE(client.send_line(std::string(4096, 'x')));
   std::string response;
   ASSERT_TRUE(client.recv_line(&response));
@@ -938,7 +980,7 @@ TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
 
   // The server itself is unharmed: a new connection works.
   TestClient fresh;
-  ASSERT_TRUE(fresh.connect_to(sc.socket_path));
+  ASSERT_TRUE(fresh.connect_to(path));
   ASSERT_TRUE(fresh.send_line(R"({"type":"ping"})"));
   ASSERT_TRUE(fresh.recv_line(&response));
   EXPECT_NE(response.find("\"pong\""), std::string::npos);
@@ -948,28 +990,29 @@ TEST_F(ServeTest, ServerClosesConnectionOnOversizedLine) {
 }
 
 TEST_F(ServeTest, ServerSurvivesMidRequestDisconnect) {
+  const std::string path = test_socket_path("disconnect");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("disconnect");
+  sc.listen_address = "unix:" + path;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
   {
     TestClient ghost;
-    ASSERT_TRUE(ghost.connect_to(sc.socket_path));
+    ASSERT_TRUE(ghost.connect_to(path));
     ASSERT_TRUE(ghost.send_line(
         R"({"id":"ghost","type":"sparse","platform":"knl-flat","kernel":"spmv"})"));
     ghost.close_conn();  // gone before the response could be written
   }
   {
     TestClient ghost2;  // and one that dies mid-line, without the newline
-    ASSERT_TRUE(ghost2.connect_to(sc.socket_path));
+    ASSERT_TRUE(ghost2.connect_to(path));
     ASSERT_TRUE(ghost2.send_line(R"({"id":"gho)"));
     ghost2.close_conn();
   }
 
   TestClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
   ASSERT_TRUE(client.send_line(
       R"({"id":"ok","type":"footprint","platform":"knl-ddr","kernel":"stream","points":8})"));
   std::string response;
@@ -983,8 +1026,9 @@ TEST_F(ServeTest, ServerSurvivesMidRequestDisconnect) {
 }
 
 TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
+  const std::string path = test_socket_path("drain");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("drain");
+  sc.listen_address = "unix:" + path;
   serve::Server server(sc);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -993,7 +1037,7 @@ TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
   const std::uint64_t admitted_before = admitted.value();
 
   TestClient client;
-  ASSERT_TRUE(client.connect_to(sc.socket_path));
+  ASSERT_TRUE(client.connect_to(path));
   const std::string line =
       R"({"id":"w1","type":"dense","platform":"broadwell-edram-on","kernel":"gemm",)"
       R"("n_lo":256,"n_hi":2048,"n_step":256,"nb_lo":128,"nb_hi":1024,"nb_step":128})";
@@ -1020,14 +1064,49 @@ TEST_F(ServeTest, GracefulDrainAnswersAdmittedWorkAndUnlinksSocket) {
 
   // No orphaned socket file, and nobody is listening anymore.
   struct stat st{};
-  EXPECT_NE(::stat(sc.socket_path.c_str(), &st), 0);
+  EXPECT_NE(::stat(path.c_str(), &st), 0);
   TestClient late;
-  EXPECT_FALSE(late.connect_to(sc.socket_path));
+  EXPECT_FALSE(late.connect_to(path));
+}
+
+TEST_F(ServeTest, ClosedConnectionsAreReapedAsTheyClose) {
+  const std::string path = test_socket_path("reap");
+  serve::ServerConfig sc;
+  sc.listen_address = "unix:" + path;
+  serve::Server server(sc);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  auto ping = [&](TestClient& client) {
+    std::string response;
+    return client.connect_to(path) && client.send_line(R"({"type":"ping"})") &&
+           client.recv_line(&response) && response.find("\"pong\"") != std::string::npos;
+  };
+  // Warm-up: 64 connections live at once bring the allocator's
+  // per-thread arenas and the thread-stack cache to their peak before the
+  // baseline. Both are bounded one-time costs, not per-connection state.
+  {
+    std::vector<TestClient> warm(64);
+    for (TestClient& client : warm) ASSERT_TRUE(ping(client));
+  }
+  const ProcFootprint before = proc_footprint();
+  for (int i = 0; i < 2000; ++i) {
+    TestClient client;
+    ASSERT_TRUE(ping(client)) << "connection " << i;
+  }
+  const ProcFootprint after = proc_footprint();
+  // An unreaped reader keeps ~2 mappings and 8 MiB of stack per connection.
+  EXPECT_LT(after.maps - before.maps, 100);
+  EXPECT_LT(after.vm_kib - before.vm_kib, 64 * 1024);
+
+  server.request_drain();
+  server.wait();
 }
 
 TEST_F(ServeTest, ConcurrentClientsCoalesceToByteIdenticalResponses) {
+  const std::string path = test_socket_path("coalesce");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("coalesce");
+  sc.listen_address = "unix:" + path;
   sc.dispatch.workers = 4;
   sc.dispatch.queue_depth = 256;
   serve::Server server(sc);
@@ -1052,7 +1131,7 @@ TEST_F(ServeTest, ConcurrentClientsCoalesceToByteIdenticalResponses) {
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       TestClient client;
-      if (!client.connect_to(sc.socket_path)) {
+      if (!client.connect_to(path)) {
         fail_count.fetch_add(kPerClient);
         return;
       }
@@ -1093,8 +1172,9 @@ TEST_F(ServeTest, ServeStreamDrivesStdioModeOverPipes) {
   ASSERT_EQ(::pipe(to_server), 0);
   ASSERT_EQ(::pipe(from_server), 0);
 
+  const std::string path = test_socket_path("stdio");
   serve::ServerConfig sc;
-  sc.socket_path = test_socket_path("stdio");  // unused: no listener started
+  sc.listen_address = "unix:" + path;  // unused: no listener started
   serve::Server server(sc);
   std::thread service([&] {  // opm-lint: allow(thread-ownership) — stream-mode server needs its own thread
     server.serve_stream(to_server[0], from_server[1]);
@@ -1140,6 +1220,70 @@ TEST_F(ServeTest, ServeStreamDrivesStdioModeOverPipes) {
   }
   EXPECT_EQ(good, 2);
   EXPECT_EQ(parse_errors, 1);
+}
+
+// ----------------------------------------------------------------- options --
+
+bool resolve(std::vector<const char*> args, serve::Options* out, std::string* error) {
+  args.insert(args.begin(), "opm_serve");
+  return serve::resolve_options(util::Cli(static_cast<int>(args.size()), args.data()), out,
+                                error);
+}
+
+TEST(ServeOptions, ResolvesDefaultsAndInRangeFlags) {
+  serve::Options opt;
+  std::string error;
+  ASSERT_TRUE(resolve({}, &opt, &error)) << error;
+  EXPECT_EQ(opt.listen, "unix:opm-serve.sock");
+  EXPECT_EQ(opt.serve_workers, 2u);
+  EXPECT_EQ(opt.queue_depth, 64u);
+
+  ASSERT_TRUE(resolve({"--socket=x.sock", "--serve-workers=4", "--queue-depth=1024", "--quota=3",
+                       "--shard-id=1", "--shard-count=2", "--ring-shards", "3",
+                       "--retry-after-ms=0", "--max-line-bytes=4096", "--max-redirects=0"},
+                      &opt, &error))
+      << error;
+  EXPECT_EQ(opt.listen, "unix:x.sock");
+  EXPECT_EQ(opt.serve_workers, 4u);
+  EXPECT_EQ(opt.queue_depth, 1024u);
+  EXPECT_EQ(opt.per_client_quota, 3u);
+  EXPECT_EQ(opt.shard_id, 1);
+  EXPECT_EQ(opt.shard_count, 2);
+  EXPECT_EQ(opt.ring_shards, 3);
+  EXPECT_EQ(opt.retry_after_ms, 0);
+  EXPECT_EQ(opt.max_line_bytes, 4096u);
+  EXPECT_EQ(opt.max_redirects, 0);
+}
+
+TEST(ServeOptions, RejectsUnparsableAndOutOfRangeIntegers) {
+  // Each case names the flag its error must name. Nothing here starts a
+  // thread: resolve_options only reads the flags.
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases = {
+      {{"--serve-workers=-1"}, "--serve-workers"},
+      {{"--serve-workers=0"}, "--serve-workers"},
+      {{"--serve-workers=100000"}, "--serve-workers"},
+      {{"--serve-workers"}, "--serve-workers"},
+      {{"--queue-depth=abc"}, "--queue-depth"},
+      {{"--queue-depth=0"}, "--queue-depth"},
+      {{"--queue-depth=99999999999999999999"}, "--queue-depth"},
+      {{"--quota=-5"}, "--quota"},
+      {{"--quota=1.5"}, "--quota"},
+      {{"--max-line-bytes=0"}, "--max-line-bytes"},
+      {{"--max-line-bytes=12abc"}, "--max-line-bytes"},
+      {{"--shard-count=-1"}, "--shard-count"},
+      {{"--shard-count=2", "--shard-id=2"}, "--shard-id"},
+      {{"--shard-id=-1"}, "--shard-id"},
+      {{"--ring-shards=99999"}, "--ring-shards"},
+      {{"--max-redirects=-1"}, "--max-redirects"},
+      {{"--max-redirects=+1"}, "--max-redirects"},
+      {{"--retry-after-ms=-1"}, "--retry-after-ms"},
+  };
+  for (const auto& [args, flag] : cases) {
+    serve::Options opt;
+    std::string error;
+    EXPECT_FALSE(resolve(args, &opt, &error)) << args.front();
+    EXPECT_NE(error.find(flag), std::string::npos) << args.front() << ": " << error;
+  }
 }
 
 }  // namespace

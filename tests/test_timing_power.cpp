@@ -19,25 +19,25 @@ Platform flat_peak_platform() {
 }
 
 TEST(Timing, ComputeBoundWhenNoTraffic) {
-  Workload w{.flops = 100e9, .compute_efficiency = 1.0, .mlp_lines = 64};
+  Workload w{.flops = 100e9, .compute_efficiency = 1.0, .mlp_lines = 64, .channels = {}};
   const auto t = predict_time(flat_peak_platform(), w);
   EXPECT_DOUBLE_EQ(t.total_time, 1.0);
   EXPECT_EQ(t.bound_by, "compute");
 }
 
 TEST(Timing, EfficiencyScalesComputeTime) {
-  Workload w{.flops = 100e9, .compute_efficiency = 0.5, .mlp_lines = 64};
+  Workload w{.flops = 100e9, .compute_efficiency = 0.5, .mlp_lines = 64, .channels = {}};
   EXPECT_DOUBLE_EQ(predict_time(flat_peak_platform(), w).total_time, 2.0);
 }
 
 TEST(Timing, SinglePrecisionUsesSpPeak) {
-  Workload w{.flops = 200e9, .compute_efficiency = 1.0, .mlp_lines = 64};
+  Workload w{.flops = 200e9, .compute_efficiency = 1.0, .mlp_lines = 64, .channels = {}};
   EXPECT_DOUBLE_EQ(predict_time(flat_peak_platform(), w, /*double_precision=*/false).total_time,
                    1.0);
 }
 
 TEST(Timing, BandwidthBoundChannelDominates) {
-  Workload w{.flops = 1e9, .compute_efficiency = 1.0, .mlp_lines = 1e9};
+  Workload w{.flops = 1e9, .compute_efficiency = 1.0, .mlp_lines = 1e9, .channels = {}};
   w.channels.push_back({.name = "DDR", .bytes = 20e9, .bandwidth = 10e9, .latency = 100e-9});
   const auto t = predict_time(flat_peak_platform(), w);
   EXPECT_NEAR(t.total_time, 2.0, 1e-9);
@@ -77,7 +77,7 @@ TEST(Timing, HigherLatencyDeviceLosesWhenLatencyBound) {
 }
 
 TEST(Timing, GflopsHelper) {
-  Workload w{.flops = 50e9};
+  Workload w{.flops = 50e9, .channels = {}};
   TimingBreakdown t;
   t.total_time = 2.0;
   EXPECT_DOUBLE_EQ(gflops(w, t), 25.0);
